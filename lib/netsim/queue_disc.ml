@@ -103,7 +103,7 @@ let accept t pkt =
    count correction (which averages out over many arrivals). Shared by
    the packet-level discipline below, the fluid many-flows engine and
    the mean-field oracle, so all three see the same p(avg). *)
-let red_drop_probability p ~avg =
+let[@inline] red_drop_probability p ~avg =
   if avg < p.min_th then 0.
   else if avg >= 2. *. p.max_th then 1.
   else if avg < p.max_th then

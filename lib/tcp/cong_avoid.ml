@@ -3,30 +3,74 @@ type t = {
   on_ack :
     newly_acked:int -> cwnd:float -> mss:int -> srtt:Sim.Time.t option ->
     min_rtt:Sim.Time.t option -> now:Sim.Time.t -> float;
+  on_acks :
+    acks:int -> newly_acked:int -> mss:int -> srtt:Sim.Time.t option ->
+    min_rtt:Sim.Time.t option -> now:Sim.Time.t -> float array -> int ->
+    unit;
   on_loss : cwnd:float -> flight:int -> mss:int -> now:Sim.Time.t ->
     float * float;
+  on_loss_at :
+    flight:int -> mss:int -> now:Sim.Time.t -> cwnd:float array ->
+    ssthresh:float array -> int -> unit;
   on_rto : cwnd:float -> flight:int -> mss:int -> float * float;
   reset : unit -> unit;
 }
 
-let floor_window ~mss w = Float.max (2. *. float_of_int mss) w
+let[@inline] floor_window ~mss w = Float.max (2. *. float_of_int mss) w
+
+(* The in-place hooks of a policy whose per-ACK or loss rule allocates
+   anyway (epoch options, RTT refs): the by-value hook, called in
+   order. *)
+let repeat_ack on_ack ~acks ~newly_acked ~mss ~srtt ~min_rtt ~now cwnd i =
+  for _ = 1 to acks do
+    cwnd.(i) <- on_ack ~newly_acked ~cwnd:cwnd.(i) ~mss ~srtt ~min_rtt ~now
+  done
+
+let loss_at on_loss ~flight ~mss ~now ~cwnd ~ssthresh i =
+  let ssthresh', cwnd' = on_loss ~cwnd:cwnd.(i) ~flight ~mss ~now in
+  ssthresh.(i) <- ssthresh';
+  cwnd.(i) <- cwnd'
+
+let[@inline] reno_increase ~mss cwnd =
+  let m = float_of_int mss in
+  cwnd +. (m *. m /. cwnd)
+
+let[@inline] reno_halve ~flight ~mss =
+  floor_window ~mss (float_of_int flight /. 2.)
 
 let reno () =
   let on_ack ~newly_acked:_ ~cwnd ~mss ~srtt:_ ~min_rtt:_ ~now:_ =
-    let m = float_of_int mss in
-    cwnd +. (m *. m /. cwnd)
+    reno_increase ~mss cwnd
   in
-  let halve ~flight ~mss =
-    floor_window ~mss (float_of_int flight /. 2.)
+  (* The window stays in a register across the batch. *)
+  let on_acks ~acks ~newly_acked:_ ~mss ~srtt:_ ~min_rtt:_ ~now:_ cwnd i =
+    let w = ref cwnd.(i) in
+    for _ = 1 to acks do
+      w := reno_increase ~mss !w
+    done;
+    cwnd.(i) <- !w
   in
   let on_loss ~cwnd:_ ~flight ~mss ~now:_ =
-    let ssthresh = halve ~flight ~mss in
+    let ssthresh = reno_halve ~flight ~mss in
     (ssthresh, ssthresh)
   in
-  let on_rto ~cwnd:_ ~flight ~mss =
-    (halve ~flight ~mss, float_of_int mss)
+  let on_loss_at ~flight ~mss ~now:_ ~cwnd ~ssthresh i =
+    let s = reno_halve ~flight ~mss in
+    ssthresh.(i) <- s;
+    cwnd.(i) <- s
   in
-  { name = "reno"; on_ack; on_loss; on_rto; reset = (fun () -> ()) }
+  let on_rto ~cwnd:_ ~flight ~mss =
+    (reno_halve ~flight ~mss, float_of_int mss)
+  in
+  {
+    name = "reno";
+    on_ack;
+    on_acks;
+    on_loss;
+    on_loss_at;
+    on_rto;
+    reset = (fun () -> ());
+  }
 
 (* RFC 8312. Internal arithmetic in segments; time in seconds. *)
 let cubic ?(c = 0.4) ?(beta = 0.7) () =
@@ -92,7 +136,15 @@ let cubic ?(c = 0.4) ?(beta = 0.7) () =
     k := 0.;
     w_est_base := 0.
   in
-  { name = "cubic"; on_ack; on_loss; on_rto; reset }
+  {
+    name = "cubic";
+    on_ack;
+    on_acks = repeat_ack on_ack;
+    on_loss;
+    on_loss_at = loss_at on_loss;
+    on_rto;
+    reset;
+  }
 
 (* Relentless congestion control (Mathis, arXiv 1102.3270): additive
    increase as Reno, but a loss event costs only the segments actually
@@ -110,10 +162,17 @@ let relentless () =
     let next = floor_window ~mss (cwnd -. float_of_int mss) in
     (next, next)
   in
+  let on_loss_at ~flight:_ ~mss ~now:_ ~cwnd ~ssthresh i =
+    let next = floor_window ~mss (cwnd.(i) -. float_of_int mss) in
+    ssthresh.(i) <- next;
+    cwnd.(i) <- next
+  in
   {
     name = "relentless";
     on_ack = base.on_ack;
+    on_acks = base.on_acks;
     on_loss;
+    on_loss_at;
     on_rto = base.on_rto;
     reset = (fun () -> ());
   }
@@ -141,7 +200,9 @@ let small_rtt ?(ref_rtt = Sim.Time.ms 25) () =
   {
     name = "small-rtt";
     on_ack;
+    on_acks = repeat_ack on_ack;
     on_loss = base.on_loss;
+    on_loss_at = base.on_loss_at;
     on_rto = base.on_rto;
     reset = (fun () -> ());
   }
@@ -185,7 +246,15 @@ let fast ?(alpha_seg = 16.) ?(gamma = 0.5) () =
     avg_rtt := None;
     next_update := Sim.Time.zero
   in
-  { name = "fast"; on_ack; on_loss = base.on_loss; on_rto = base.on_rto; reset }
+  {
+    name = "fast";
+    on_ack;
+    on_acks = repeat_ack on_ack;
+    on_loss = base.on_loss;
+    on_loss_at = base.on_loss_at;
+    on_rto = base.on_rto;
+    reset;
+  }
 
 (* Vegas: delay-based backlog estimation, adjusted once per RTT. *)
 let vegas ?(alpha = 2.) ?(beta_seg = 4.) () =
@@ -212,7 +281,9 @@ let vegas ?(alpha = 2.) ?(beta_seg = 4.) () =
   {
     name = "vegas";
     on_ack;
+    on_acks = repeat_ack on_ack;
     on_loss = base.on_loss;
+    on_loss_at = base.on_loss_at;
     on_rto = base.on_rto;
     reset = (fun () -> next_adjust := Sim.Time.zero);
   }

@@ -12,9 +12,24 @@ type t = {
     min_rtt:Sim.Time.t option -> now:Sim.Time.t -> float;
       (** new cwnd after an ACK of new data while in congestion
           avoidance *)
+  on_acks :
+    acks:int -> newly_acked:int -> mss:int -> srtt:Sim.Time.t option ->
+    min_rtt:Sim.Time.t option -> now:Sim.Time.t -> float array -> int ->
+    unit;
+      (** [on_acks ~acks ... cwnd i] applies the per-ACK rule [acks]
+          times in order to the window in [cwnd.(i)], in place —
+          bit-identical to [acks] successive {!on_ack} calls. The window
+          stays in a flat float array (a {!Flow_table} column), so no
+          float crosses the closure boundary boxed; Reno's batch
+          allocates nothing. *)
   on_loss : cwnd:float -> flight:int -> mss:int -> now:Sim.Time.t ->
     float * float;
       (** (ssthresh, cwnd) after a fast-retransmit loss event *)
+  on_loss_at :
+    flight:int -> mss:int -> now:Sim.Time.t -> cwnd:float array ->
+    ssthresh:float array -> int -> unit;
+      (** {!on_loss} applied in place to [cwnd.(i)] and [ssthresh.(i)];
+          allocation-free for Reno and Relentless *)
   on_rto : cwnd:float -> flight:int -> mss:int -> float * float;
       (** (ssthresh, cwnd) after a retransmission timeout *)
   reset : unit -> unit;  (** clear epoch state (new connection reuse) *)

@@ -289,17 +289,13 @@ let restore t ~prefix r =
 
 (* --- congestion-control hooks by row ----------------------------------- *)
 
-let ca_on_ack t i (cc : Cong_avoid.t) ~newly_acked ~mss ~srtt ~min_rtt ~now =
-  set_cwnd t i
-    (cc.Cong_avoid.on_ack ~newly_acked ~cwnd:(cwnd t i) ~mss ~srtt ~min_rtt
-       ~now)
+let ca_on_ack t i (cc : Cong_avoid.t) ~acks ~newly_acked ~mss ~srtt ~min_rtt
+    ~now =
+  cc.Cong_avoid.on_acks ~acks ~newly_acked ~mss ~srtt ~min_rtt ~now t.cwnd i
 
 let ca_on_loss t i (cc : Cong_avoid.t) ~flight ~mss ~now =
-  let ssthresh', cwnd' =
-    cc.Cong_avoid.on_loss ~cwnd:(cwnd t i) ~flight ~mss ~now
-  in
-  set_ssthresh t i ssthresh';
-  set_cwnd t i cwnd'
+  cc.Cong_avoid.on_loss_at ~flight ~mss ~now ~cwnd:t.cwnd ~ssthresh:t.ssthresh
+    i
 
 let ca_on_rto t i (cc : Cong_avoid.t) ~flight ~mss =
   let ssthresh', cwnd' = cc.Cong_avoid.on_rto ~cwnd:(cwnd t i) ~flight ~mss in

@@ -115,18 +115,22 @@ val restore : t -> prefix:string -> Sim.Snapshot.reader -> unit
     {!Sim.Snapshot.Corrupt} on missing or inconsistent sections. *)
 
 (** {1 Congestion-control hooks by row} — apply a {!Cong_avoid} bundle
-    to a row's (cwnd, ssthresh) in place. *)
+    to a row's (cwnd, ssthresh) in place. {!ca_on_ack} and {!ca_on_loss}
+    hand the policy the columns themselves, so with Reno neither
+    allocates. *)
 
 val ca_on_ack :
   t ->
   int ->
   Cong_avoid.t ->
+  acks:int ->
   newly_acked:int ->
   mss:int ->
   srtt:Sim.Time.t option ->
   min_rtt:Sim.Time.t option ->
   now:Sim.Time.t ->
   unit
+(** [acks] successive per-ACK updates ({!Cong_avoid.t.on_acks}). *)
 
 val ca_on_loss :
   t -> int -> Cong_avoid.t -> flight:int -> mss:int -> now:Sim.Time.t -> unit

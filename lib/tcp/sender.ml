@@ -563,7 +563,7 @@ let on_new_ack t ~newly ~rtt_sample header =
       else if cwnd_b t >= ssthresh_b t then set_ph t Cong_avoid_p
   | Cong_avoid_p ->
       bump t Web100.Kis.cong_avoid;
-      Flow_table.ca_on_ack t.table t.row t.cc ~newly_acked:newly ~mss
+      Flow_table.ca_on_ack t.table t.row t.cc ~acks:1 ~newly_acked:newly ~mss
         ~srtt:(Rtt_estimator.srtt t.rtt)
         ~min_rtt:(Rtt_estimator.min_rtt t.rtt)
         ~now:(Sim.Scheduler.now t.sched)

@@ -23,9 +23,15 @@
      off — so a round of W bytes survives with (1−p)^(W/mss).
 
    - Each flow's round timer re-arms every RTT: slow start doubles the
-     window per round until ssthresh, congestion avoidance applies the
-     policy's per-ACK on_ack hook once per packet of the round, and a
-     lost round applies on_loss and drops to avoidance.
+     window per round until ssthresh, congestion avoidance makes one
+     policy call that applies the per-ACK rule once per packet of the
+     round, and a lost round applies on_loss and drops to avoidance.
+
+   - A round is straight-line code that allocates nothing: the fluid
+     scalars live in an all-float record (stored flat), the policy
+     hooks update the table's columns in place, and the RTT options
+     the hooks read are built once ([min_rtt]) or only when the queue
+     moves ([srtt]).
 
    Everything is deterministic for a fixed seed: arrivals and sizes
    come from one dedicated stream, loss draws from per-row streams
@@ -54,6 +60,16 @@ type params = {
 let kind_round = 0
 let kind_arrival = 1
 
+(* The engine's float state. An all-float record stores its fields
+   flat, so a write is a plain store; a float field of [t] itself (a
+   mixed record) would box on every write. *)
+type fluid = {
+  mutable q_bytes : float;
+  mutable avg_pkts : float; (* RED's EWMA of the queue, packets *)
+  mutable sum_cwnd : float; (* bytes across active flows *)
+  mutable delivered : float; (* goodput bytes across all flows *)
+}
+
 type t = {
   sched : Sim.Scheduler.t;
   wheel : Wheel.t;
@@ -62,38 +78,44 @@ type t = {
   p : params;
   seed : int;
   rng : Sim.Rng.t; (* arrivals + sizes only *)
-  mutable q_bytes : float;
-  mutable avg_pkts : float; (* RED's EWMA of the queue, packets *)
+  f : fluid;
+  min_rtt : Sim.Time.t option; (* the base RTT, boxed once *)
+  mutable srtt : Sim.Time.t option; (* base RTT + q/C, rebuilt as q moves *)
   mutable last_update_ns : int;
-  mutable sum_cwnd : float; (* bytes across active flows *)
   mutable active : int;
   mutable created : int;
   mutable completed : int;
-  mutable delivered : float; (* goodput bytes across all flows *)
   mutable loss_events : int;
   mutable stopped : bool;
 }
 
-let mssf t = float_of_int t.p.mss
-let buffer_bytes t = float_of_int t.p.buffer_packets *. mssf t
+let[@inline] mssf t = float_of_int t.p.mss
+let[@inline] buffer_bytes t = float_of_int t.p.buffer_packets *. mssf t
 
 (* Serialization time of one mss packet — RED's idle-decay clock. *)
-let pkt_time t = mssf t /. t.p.capacity_bytes_per_sec
+let[@inline] pkt_time t = mssf t /. t.p.capacity_bytes_per_sec
 
-let rtt_s t =
-  Sim.Time.to_sec t.p.base_rtt +. (t.q_bytes /. t.p.capacity_bytes_per_sec)
+let[@inline] rtt_s t =
+  Sim.Time.to_sec t.p.base_rtt +. (t.f.q_bytes /. t.p.capacity_bytes_per_sec)
+
+(* The srtt the policy hooks see is a function of the queue alone. *)
+let refresh_srtt t = t.srtt <- Some (Sim.Time.of_sec (rtt_s t))
 
 (* Fluid integration of the backlog since the last event, then the
-   line-rate EWMA the RED curve reads. One multiply-adds per event, no
-   allocation. *)
+   line-rate EWMA the RED curve reads. One multiply-adds per event; the
+   only allocation is the srtt option, rebuilt when the backlog moves
+   (once per event time, shared by every round firing then). *)
 let update_queue t ~now_ns =
   let dt = float_of_int (now_ns - t.last_update_ns) *. 1e-9 in
   if dt > 0. then begin
-    let inflow = t.sum_cwnd /. rtt_s t in
-    let q = t.q_bytes +. ((inflow -. t.p.capacity_bytes_per_sec) *. dt) in
+    let f = t.f in
+    let inflow = f.sum_cwnd /. rtt_s t in
+    let q = f.q_bytes +. ((inflow -. t.p.capacity_bytes_per_sec) *. dt) in
     let q = if q < 0. then 0. else q in
     let cap = buffer_bytes t in
-    t.q_bytes <- (if q > cap then cap else q);
+    let q = if q > cap then cap else q in
+    let moved = q <> f.q_bytes in
+    f.q_bytes <- q;
     (match t.p.red with
     | None -> ()
     | Some rp ->
@@ -101,8 +123,9 @@ let update_queue t ~now_ns =
            elapsed: avg ← q + (avg−q)·(1−w)^(dt/pkt_time). *)
         let m = dt /. pkt_time t in
         let keep = (1. -. rp.Netsim.Queue_disc.weight) ** m in
-        let q_pkts = t.q_bytes /. mssf t in
-        t.avg_pkts <- q_pkts +. ((t.avg_pkts -. q_pkts) *. keep));
+        let q_pkts = q /. mssf t in
+        f.avg_pkts <- q_pkts +. ((f.avg_pkts -. q_pkts) *. keep));
+    if moved then refresh_srtt t;
     t.last_update_ns <- now_ns
   end
 
@@ -112,10 +135,11 @@ let update_queue t ~now_ns =
    overload RED alone may not shed enough (its curve tops out against
    a clamped average), and without the overflow term delivered bytes
    would exceed the link capacity. *)
-let drop_probability t =
+let[@inline] drop_probability t =
+  let f = t.f in
   let overflow =
-    if t.q_bytes >= buffer_bytes t -. (0.5 *. mssf t) then
-      let inflow = t.sum_cwnd /. rtt_s t in
+    if f.q_bytes >= buffer_bytes t -. (0.5 *. mssf t) then
+      let inflow = f.sum_cwnd /. rtt_s t in
       if inflow <= t.p.capacity_bytes_per_sec then 0.
       else (inflow -. t.p.capacity_bytes_per_sec) /. inflow
     else 0.
@@ -123,7 +147,7 @@ let drop_probability t =
   match t.p.red with
   | None -> overflow
   | Some rp ->
-      let early = Netsim.Queue_disc.red_drop_probability rp ~avg:t.avg_pkts in
+      let early = Netsim.Queue_disc.red_drop_probability rp ~avg:f.avg_pkts in
       1. -. ((1. -. early) *. (1. -. overflow))
 
 let phase_slow_start = 1
@@ -135,7 +159,7 @@ let arm_round t row =
   Ft.set_timer t.table row (Wheel.arm t.wheel ~due_ns ~kind:kind_round ~flow:row :> int)
 
 let retire t row =
-  t.sum_cwnd <- t.sum_cwnd -. Ft.cwnd t.table row;
+  t.f.sum_cwnd <- t.f.sum_cwnd -. Ft.cwnd t.table row;
   t.active <- t.active - 1;
   t.completed <- t.completed + 1;
   Ft.free t.table row
@@ -163,7 +187,7 @@ let launch t =
          Stdlib.max 1 (int_of_float (Sim.Rng.pareto t.rng ~shape ~scale))
    in
    Ft.set_budget t.table row size);
-  t.sum_cwnd <- t.sum_cwnd +. cwnd;
+  t.f.sum_cwnd <- t.f.sum_cwnd +. cwnd;
   arm_round t row
 
 let schedule_arrival t =
@@ -187,7 +211,8 @@ let schedule_arrival t =
 
 (* One RTT round of flow [row]: Bernoulli loss over the W/mss packets
    of the round, then the policy's growth or decrease, delivered-byte
-   accounting, and re-arm — all through table columns, no closure. *)
+   accounting, and re-arm — all through table columns, no closure and
+   no allocation. *)
 let round t row =
   let now = Sim.Scheduler.now t.sched in
   let w = Ft.cwnd t.table row in
@@ -210,34 +235,28 @@ let round t row =
     end
     else Ft.set_cwnd t.table row next
   end
-  else begin
-    (* The policy hooks are per-ACK (Reno adds mss²/cwnd per segment
-       acked), so a loss-free round applies one hook call per packet of
-       the window — matching a packet-level sender's growth of ~1
-       mss/RTT in avoidance. The work per real-time unit is bounded by
-       the line rate in packets, not by the flow count. *)
-    let srtt = Some (Sim.Time.of_sec (rtt_s t)) in
-    let min_rtt = Some t.p.base_rtt in
-    let acks = Stdlib.max 1 (int_of_float pkts) in
-    for _ = 1 to acks do
-      Ft.ca_on_ack t.table row t.cc ~newly_acked:t.p.mss ~mss:t.p.mss ~srtt
-        ~min_rtt ~now
-    done
-  end;
+  else
+    (* The policy rule is per-ACK (Reno adds mss²/cwnd per segment
+       acked), so a loss-free round applies it once per packet of the
+       window — matching a packet-level sender's growth of ~1 mss/RTT
+       in avoidance — in one policy call. *)
+    Ft.ca_on_ack t.table row t.cc
+      ~acks:(Int.max 1 (int_of_float pkts))
+      ~newly_acked:t.p.mss ~mss:t.p.mss ~srtt:t.srtt ~min_rtt:t.min_rtt ~now;
   (* Goodput: the surviving fraction of the round's bytes. *)
   let got = w *. (1. -. p) in
-  t.delivered <- t.delivered +. got;
+  t.f.delivered <- t.f.delivered +. got;
   let done_ =
     let b = Ft.budget t.table row in
     b >= 0
     &&
     let b' = b - int_of_float got in
-    Ft.set_budget t.table row (Stdlib.max 0 b');
+    Ft.set_budget t.table row (Int.max 0 b');
     b' <= 0
   in
   if done_ then retire t row
   else begin
-    t.sum_cwnd <- t.sum_cwnd +. (Ft.cwnd t.table row -. w);
+    t.f.sum_cwnd <- t.f.sum_cwnd +. (Ft.cwnd t.table row -. w);
     arm_round t row
   end
 
@@ -296,13 +315,20 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
     invalid_arg
       "Many_flows.start: size_pareto_shape must exceed 1 (shape <= 1 has an \
        infinite mean flow size)";
+  (* Persistent flows each hold exactly one round timer, so the wheel is
+     sized once, leaving no outgrown node arrays behind; with arrivals
+     the population in flight is unknown and the wheel grows on demand. *)
+  let timers =
+    match params.arrival_rate with
+    | None -> params.flows
+    | Some _ -> Stdlib.min 65536 params.flows
+  in
   let rec t =
     lazy
       {
         sched;
         wheel =
-          Wheel.create
-            ~initial_capacity:(Stdlib.min 65536 (Stdlib.max 16 params.flows))
+          Wheel.create ~initial_capacity:(Stdlib.max 16 timers)
             ~on_fire:(fun ~kind ~flow -> on_fire (Lazy.force t) ~kind ~flow)
             ();
         table = Ft.create ~initial_capacity:(Stdlib.max 16 params.flows) ();
@@ -310,19 +336,19 @@ let start ~sched ~rng ~seed ?(cong_avoid = Tcp.Cong_avoid.reno ()) params =
         p = params;
         seed;
         rng;
-        q_bytes = 0.;
-        avg_pkts = 0.;
+        f = { q_bytes = 0.; avg_pkts = 0.; sum_cwnd = 0.; delivered = 0. };
+        min_rtt = Some params.base_rtt;
+        srtt = None;
         last_update_ns = Sim.Time.to_ns_int (Sim.Scheduler.now sched);
-        sum_cwnd = 0.;
         active = 0;
         created = 0;
         completed = 0;
-        delivered = 0.;
         loss_events = 0;
         stopped = false;
       }
   in
   let t = Lazy.force t in
+  refresh_srtt t;
   Sim.Scheduler.attach_wheel sched t.wheel;
   (match params.arrival_rate with
   | None -> for _ = 1 to params.flows do launch t done
@@ -343,10 +369,10 @@ let stop t = t.stopped <- true
 
 let save ?(prefix = "mf.") t w =
   let p name = prefix ^ name in
-  Sim.Snapshot.put_float w (p "q_bytes") t.q_bytes;
-  Sim.Snapshot.put_float w (p "avg_pkts") t.avg_pkts;
-  Sim.Snapshot.put_float w (p "sum_cwnd") t.sum_cwnd;
-  Sim.Snapshot.put_float w (p "delivered") t.delivered;
+  Sim.Snapshot.put_float w (p "q_bytes") t.f.q_bytes;
+  Sim.Snapshot.put_float w (p "avg_pkts") t.f.avg_pkts;
+  Sim.Snapshot.put_float w (p "sum_cwnd") t.f.sum_cwnd;
+  Sim.Snapshot.put_float w (p "delivered") t.f.delivered;
   Sim.Snapshot.put_int w (p "last_update_ns") t.last_update_ns;
   Sim.Snapshot.put_int w (p "active") t.active;
   Sim.Snapshot.put_int w (p "created") t.created;
@@ -379,10 +405,11 @@ let save ?(prefix = "mf.") t w =
    but never cancels them). *)
 let restore ?(prefix = "mf.") t r =
   let p name = prefix ^ name in
-  t.q_bytes <- Sim.Snapshot.get_float r (p "q_bytes");
-  t.avg_pkts <- Sim.Snapshot.get_float r (p "avg_pkts");
-  t.sum_cwnd <- Sim.Snapshot.get_float r (p "sum_cwnd");
-  t.delivered <- Sim.Snapshot.get_float r (p "delivered");
+  t.f.q_bytes <- Sim.Snapshot.get_float r (p "q_bytes");
+  t.f.avg_pkts <- Sim.Snapshot.get_float r (p "avg_pkts");
+  t.f.sum_cwnd <- Sim.Snapshot.get_float r (p "sum_cwnd");
+  t.f.delivered <- Sim.Snapshot.get_float r (p "delivered");
+  refresh_srtt t;
   t.last_update_ns <- Sim.Snapshot.get_int r (p "last_update_ns");
   t.active <- Sim.Snapshot.get_int r (p "active");
   t.created <- Sim.Snapshot.get_int r (p "created");
@@ -414,26 +441,26 @@ let poll t =
 
 let queue_packets t =
   poll t;
-  t.q_bytes /. mssf t
+  t.f.q_bytes /. mssf t
 
 let avg_queue_packets t =
   poll t;
-  match t.p.red with Some _ -> t.avg_pkts | None -> t.q_bytes /. mssf t
+  match t.p.red with Some _ -> t.f.avg_pkts | None -> t.f.q_bytes /. mssf t
 
-let sum_cwnd_bytes t = t.sum_cwnd
+let sum_cwnd_bytes t = t.f.sum_cwnd
 
 let mean_cwnd_segments t =
   if t.active = 0 then 0.
-  else t.sum_cwnd /. mssf t /. float_of_int t.active
+  else t.f.sum_cwnd /. mssf t /. float_of_int t.active
 
 let active t = t.active
 let created t = t.created
 let completed t = t.completed
-let delivered_bytes t = t.delivered
+let delivered_bytes t = t.f.delivered
 let loss_events t = t.loss_events
 let table t = t.table
 let wheel t = t.wheel
 
 let goodput_mbps t ~duration =
   let s = Sim.Time.to_sec duration in
-  if s <= 0. then 0. else t.delivered *. 8. /. s /. 1e6
+  if s <= 0. then 0. else t.f.delivered *. 8. /. s /. 1e6

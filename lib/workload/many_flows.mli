@@ -4,15 +4,16 @@
     abstraction of the mean-field RED literature (Reynier) — with
     per-flow state in a {!Tcp.Flow_table} and round timers on a
     {!Sim.Timer_wheel}: no per-flow closures or heap objects anywhere,
-    so a million concurrent flows cost ~16 words each and the timer
-    path allocates nothing.
+    so a million concurrent flows cost ~16 words each and a flow round
+    allocates nothing.
 
     Each flow's round timer fires once per RTT (base RTT + fluid
     queueing delay): the round's W bytes face Bernoulli loss with the
     per-packet probability of the shared RED curve (or the tail-drop
     overflow fraction), slow start doubles per round, congestion
-    avoidance applies the {!Tcp.Cong_avoid} policy hooks by row index,
-    and finite-size flows retire when their budget drains.
+    avoidance makes one {!Tcp.Cong_avoid} [on_acks] call per round on
+    the row's window, and finite-size flows retire when their budget
+    drains.
 
     Deterministic for a fixed seed: arrivals/sizes from the one [rng]
     stream, per-flow loss draws from row-derived xorshift streams. *)

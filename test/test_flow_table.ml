@@ -69,7 +69,7 @@ let test_ca_hooks () =
   let mss = 1500 in
   let cc = Tcp.Cong_avoid.reno () in
   Ft.set_cwnd t r (float_of_int (10 * mss));
-  Ft.ca_on_ack t r cc ~newly_acked:mss ~mss ~srtt:None ~min_rtt:None
+  Ft.ca_on_ack t r cc ~acks:1 ~newly_acked:mss ~mss ~srtt:None ~min_rtt:None
     ~now:Sim.Time.zero;
   let expected = (10. *. 1500.) +. (1500. *. 1500. /. (10. *. 1500.)) in
   Alcotest.(check (float 1e-9)) "reno additive increase via the row" expected

@@ -186,6 +186,71 @@ let test_spec_rejects_two_many_flows () =
     (fun () ->
       ignore (Core.Spec.build bad))
 
+(* The many-flows engine contract: past warm-up a flow round allocates
+   nothing. A persistent RED population in the benchmark's regime (about
+   four segments per window) runs both round kinds — loss-free rounds
+   (one batched policy call) and loss rounds. Rounds are counted through
+   a pass-through Reno, whose forwarding closures allocate nothing. The
+   only allocation left in the run loop is the srtt option rebuilt when
+   the fluid queue moves, once per event time, so it is charged per
+   scheduler step rather than per round. *)
+let test_rounds_allocate_nothing () =
+  let rounds = ref 0 in
+  let reno = Tcp.Cong_avoid.reno () in
+  let cong_avoid =
+    {
+      reno with
+      Tcp.Cong_avoid.on_acks =
+        (fun ~acks ~newly_acked ~mss ~srtt ~min_rtt ~now cwnd i ->
+          incr rounds;
+          reno.on_acks ~acks ~newly_acked ~mss ~srtt ~min_rtt ~now cwnd i);
+      on_loss_at =
+        (fun ~flight ~mss ~now ~cwnd ~ssthresh i ->
+          incr rounds;
+          reno.on_loss_at ~flight ~mss ~now ~cwnd ~ssthresh i);
+    }
+  in
+  let sched = Sim.Scheduler.create ~seed:5 () in
+  let t =
+    Mf.start ~sched ~rng:(Sim.Scheduler.derive_rng sched) ~seed:5 ~cong_avoid
+      {
+        Mf.default_params with
+        flows = 10_000;
+        capacity_bytes_per_sec = 8e9 /. 8.;
+        buffer_packets = 1000;
+        red =
+          Some
+            {
+              Netsim.Queue_disc.min_th = 200.;
+              max_th = 600.;
+              max_p = 0.1;
+              weight = 0.002;
+            };
+      }
+  in
+  Sim.Scheduler.run ~until:(Sim.Time.sec 2) sched;
+  let horizon = Sim.Time.to_ns_int (Sim.Time.sec 4) in
+  let rounds0 = !rounds and losses0 = Mf.loss_events t and steps = ref 0 in
+  let before = Gc.minor_words () in
+  while
+    let ns = Sim.Scheduler.next_ns sched in
+    ns >= 0 && ns <= horizon
+  do
+    ignore (Sim.Scheduler.step sched);
+    incr steps
+  done;
+  let words = Gc.minor_words () -. before in
+  let n = !rounds - rounds0 in
+  Alcotest.(check bool) "both round kinds ran" true
+    (Mf.loss_events t - losses0 > 1000 && n - (Mf.loss_events t - losses0) > 1000);
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "%d rounds in %d steps: %.0f minor words (%.4f per round), at most \
+        one 2-word srtt box per step"
+       n !steps words (words /. float_of_int n))
+    true
+    (words <= 2. *. float_of_int !steps)
+
 let suite =
   [
     Alcotest.test_case "engine is deterministic per seed" `Quick
@@ -199,4 +264,6 @@ let suite =
     Alcotest.test_case "parameter validation" `Quick test_param_validation;
     Alcotest.test_case "at most one many_flows per spec" `Quick
       test_spec_rejects_two_many_flows;
+    Alcotest.test_case "flow rounds allocate nothing" `Quick
+      test_rounds_allocate_nothing;
   ]

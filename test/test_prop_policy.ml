@@ -198,6 +198,62 @@ let flight_within_rcv_wnd =
       && Tcp.Sender.cwnd sender >= mss_f
       && Tcp.Sender.bytes_acked sender > 0)
 
+(* The batched and in-place hooks against the by-value ones: for every
+   registered policy, one [on_acks ~acks:n] call on a fresh instance
+   equals n [~acks:1] calls on a second fresh instance and n [on_ack]
+   calls on a third, bit for bit; a loss after those ACKs then leaves
+   the same (ssthresh, cwnd) whether applied by [on_loss_at] or by
+   [on_loss]. *)
+let batched_hooks_match_single_acks =
+  let gen =
+    Gen.(
+      pair
+        (triple (oneofl policy_names) (int_range 1 64) (int_range 500 9000))
+        (triple (float_range 1. 1000.)
+           (pair (opt (int_range 1 500)) (opt (int_range 1 500)))
+           (int_range 0 100_000)))
+  in
+  let print ((name, n, mss), (cwnd_seg, (srtt, min_rtt), now)) =
+    let ms = Print.(option int) in
+    Printf.sprintf "%s n=%d mss=%d cwnd=%g seg srtt=%s min_rtt=%s now=%d ms"
+      name n mss cwnd_seg (ms srtt) (ms min_rtt) now
+  in
+  Test.make ~name:"batched on_acks and on_loss_at match the single hooks"
+    ~count:500 ~print gen
+    (fun ((name, n, mss), (cwnd_seg, (srtt, min_rtt), now)) ->
+      let ms = Option.map Sim.Time.ms in
+      let srtt = ms srtt and min_rtt = ms min_rtt and now = Sim.Time.ms now in
+      let cwnd0 = cwnd_seg *. float_of_int mss in
+      let newly_acked = mss in
+      let batched = (fresh name).Tcp.Policy.cong_avoid in
+      let single = (fresh name).Tcp.Policy.cong_avoid in
+      let by_value = (fresh name).Tcp.Policy.cong_avoid in
+      let wb = [| cwnd0 |] and sb = [| infinity |] in
+      batched.on_acks ~acks:n ~newly_acked ~mss ~srtt ~min_rtt ~now wb 0;
+      let ws = [| cwnd0 |] in
+      for _ = 1 to n do
+        single.on_acks ~acks:1 ~newly_acked ~mss ~srtt ~min_rtt ~now ws 0
+      done;
+      let wv = ref cwnd0 in
+      for _ = 1 to n do
+        wv := by_value.on_ack ~newly_acked ~cwnd:!wv ~mss ~srtt ~min_rtt ~now
+      done;
+      let bits = Int64.bits_of_float in
+      let acked = bits wb.(0) in
+      let flight = int_of_float wb.(0) in
+      batched.on_loss_at ~flight ~mss ~now ~cwnd:wb ~ssthresh:sb 0;
+      let sv, cv = by_value.on_loss ~cwnd:!wv ~flight ~mss ~now in
+      acked = bits ws.(0)
+      && acked = bits !wv
+      && bits wb.(0) = bits cv
+      && bits sb.(0) = bits sv)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ window_floor; loss_never_raises; loss_free_monotone; flight_within_rcv_wnd ]
+    [
+      window_floor;
+      loss_never_raises;
+      loss_free_monotone;
+      flight_within_rcv_wnd;
+      batched_hooks_match_single_acks;
+    ]
