@@ -158,8 +158,11 @@ let arm_round t row =
   let due_ns = now_ns + int_of_float (rtt_s t *. 1e9) in
   Ft.set_timer t.table row (Wheel.arm t.wheel ~due_ns ~kind:kind_round ~flow:row :> int)
 
-let retire t row =
-  t.f.sum_cwnd <- t.f.sum_cwnd -. Ft.cwnd t.table row;
+(* [held] is the window the running sum counts for [row] — its window
+   at the start of the round that retires it, not the row's current
+   cwnd, which that round may already have moved. *)
+let retire t row ~held =
+  t.f.sum_cwnd <- t.f.sum_cwnd -. held;
   t.active <- t.active - 1;
   t.completed <- t.completed + 1;
   Ft.free t.table row
@@ -254,7 +257,7 @@ let round t row =
     Ft.set_budget t.table row (Int.max 0 b');
     b' <= 0
   in
-  if done_ then retire t row
+  if done_ then retire t row ~held:w
   else begin
     t.f.sum_cwnd <- t.f.sum_cwnd +. (Ft.cwnd t.table row -. w);
     arm_round t row

@@ -186,6 +186,51 @@ let test_spec_rejects_two_many_flows () =
     (fun () ->
       ignore (Core.Spec.build bad))
 
+(* The engine's running window sum against the live windows re-summed
+   from the flow table. A finishing flow's final round may move its
+   window before it retires, so retiring must subtract the window the
+   sum holds (the pre-round one), or every such flow leaves the
+   difference behind. Checked mid-run, with finite flows arriving and
+   retiring, and after every flow has retired, when the sum must
+   return to zero. *)
+let test_window_sum_tracks_live_windows () =
+  let sched = Sim.Scheduler.create ~seed:7 () in
+  let t =
+    Mf.start ~sched ~rng:(Sim.Rng.of_seed 7) ~seed:7
+      {
+        Mf.default_params with
+        flows = 2000;
+        arrival_rate = Some 2000.;
+        mean_size = Some 50_000;
+        capacity_bytes_per_sec = 100e6 /. 8.;
+      }
+  in
+  let live_sum () =
+    let tbl = Mf.table t in
+    let sum = ref 0. in
+    for row = 0 to Tcp.Flow_table.capacity tbl - 1 do
+      if Tcp.Flow_table.is_live tbl row then
+        sum := !sum +. Tcp.Flow_table.cwnd tbl row
+    done;
+    !sum
+  in
+  (* Float rounding over the run's updates stays far below [tol]. *)
+  let check_sum what ~tol expected =
+    let got = Mf.sum_cwnd_bytes t in
+    if not (Float.abs (got -. expected) <= tol) then
+      Alcotest.failf "%s: tracked %g bytes, expected %g" what got expected
+  in
+  List.iter
+    (fun s ->
+      Sim.Scheduler.run ~until:(Sim.Time.sec s) sched;
+      check_sum (Printf.sprintf "at %d s" s) ~tol:1. (live_sum ()))
+    [ 1; 2; 5; 20 ];
+  Alcotest.(check bool) "flows finished mid-run" true (Mf.completed t > 100);
+  Sim.Scheduler.run ~until:(Sim.Time.sec 600) sched;
+  Alcotest.(check int) "every flow retired" 0 (Mf.active t);
+  Alcotest.(check int) "all created" 2000 (Mf.created t);
+  check_sum "no flow active" ~tol:1e-6 0.
+
 (* The many-flows engine contract: past warm-up a flow round allocates
    nothing. A persistent RED population in the benchmark's regime (about
    four segments per window) runs both round kinds — loss-free rounds
@@ -264,6 +309,8 @@ let suite =
     Alcotest.test_case "parameter validation" `Quick test_param_validation;
     Alcotest.test_case "at most one many_flows per spec" `Quick
       test_spec_rejects_two_many_flows;
+    Alcotest.test_case "window sum tracks the live windows" `Quick
+      test_window_sum_tracks_live_windows;
     Alcotest.test_case "flow rounds allocate nothing" `Quick
       test_rounds_allocate_nothing;
   ]
