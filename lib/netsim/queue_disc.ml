@@ -102,7 +102,8 @@ let accept t pkt =
    drop probability with the gentle extension, without the per-burst
    count correction (which averages out over many arrivals). Shared by
    the packet-level discipline below, the fluid many-flows engine and
-   the mean-field oracle, so all three see the same p(avg). *)
+   the mean-field oracle, so all three see the same p(avg). Inlined so
+   the fluid engine's per-round call returns no boxed float. *)
 let[@inline] red_drop_probability p ~avg =
   if avg < p.min_th then 0.
   else if avg >= 2. *. p.max_th then 1.

@@ -16,6 +16,8 @@ type t = {
   reset : unit -> unit;
 }
 
+(* [@inline] keeps the in-place loss hooks allocation-free: a call the
+   compiler does not inline returns its float boxed. *)
 let[@inline] floor_window ~mss w = Float.max (2. *. float_of_int mss) w
 
 (* The in-place hooks of a policy whose per-ACK or loss rule allocates
@@ -31,7 +33,7 @@ let loss_at on_loss ~flight ~mss ~now ~cwnd ~ssthresh i =
   ssthresh.(i) <- ssthresh';
   cwnd.(i) <- cwnd'
 
-let[@inline] reno_increase ~mss cwnd =
+let reno_increase ~mss cwnd =
   let m = float_of_int mss in
   cwnd +. (m *. m /. cwnd)
 

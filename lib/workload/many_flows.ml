@@ -89,12 +89,14 @@ type t = {
   mutable stopped : bool;
 }
 
-let[@inline] mssf t = float_of_int t.p.mss
-let[@inline] buffer_bytes t = float_of_int t.p.buffer_packets *. mssf t
+let mssf t = float_of_int t.p.mss
+let buffer_bytes t = float_of_int t.p.buffer_packets *. mssf t
 
 (* Serialization time of one mss packet — RED's idle-decay clock. *)
-let[@inline] pkt_time t = mssf t /. t.p.capacity_bytes_per_sec
+let pkt_time t = mssf t /. t.p.capacity_bytes_per_sec
 
+(* Float-returning helpers on the round path are [@inline]: a call the
+   compiler does not inline returns its float boxed. *)
 let[@inline] rtt_s t =
   Sim.Time.to_sec t.p.base_rtt +. (t.f.q_bytes /. t.p.capacity_bytes_per_sec)
 
