@@ -45,9 +45,10 @@ let set_default_handler t handler = t.default_handler <- Some handler
 let deliver t pkt =
   t.rx_packet_count <- t.rx_packet_count + 1;
   t.rx_byte_count <- t.rx_byte_count + Packet.size pkt;
-  match Hashtbl.find_opt t.handlers pkt.Packet.flow with
-  | Some handler -> handler pkt
-  | None -> (
+  (* [find], not [find_opt]: no option is allocated per packet. *)
+  match Hashtbl.find t.handlers pkt.Packet.flow with
+  | handler -> handler pkt
+  | exception Not_found -> (
       match t.default_handler with
       | Some handler -> handler pkt
       | None -> ())

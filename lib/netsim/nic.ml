@@ -39,25 +39,26 @@ let rec start_next t =
     | Some l -> l
     | None -> invalid_arg "Nic: no link attached"
   in
-  match Queue_disc.dequeue t.queue ~now:(Sim.Scheduler.now t.sched) with
-  | None -> t.transmitting <- false
-  | Some pkt ->
-      t.transmitting <- true;
-      (match t.dequeue_hook with Some hook -> hook pkt | None -> ());
-      let tx = Sim.Units.tx_time t.line_rate ~bytes:(Packet.size pkt) in
-      ignore
-        (Sim.Scheduler.after t.sched tx (fun () ->
-             t.tx_packet_count <- t.tx_packet_count + 1;
-             t.tx_byte_count <- t.tx_byte_count + Packet.size pkt;
-             (match t.tracer with
-             | None -> ()
-             | Some tr ->
-                 Trace.emit tr
-                   ~time_ns:(Sim.Time.to_ns_int (Sim.Scheduler.now t.sched))
-                   ~code:Trace.Code.nic_tx ~src:t.trace_src
-                   ~arg1:pkt.Packet.flow ~arg2:(Packet.size pkt));
-             Link.transmit link pkt;
-             start_next t))
+  if Queue_disc.length t.queue = 0 then t.transmitting <- false
+  else begin
+    let pkt = Queue_disc.take t.queue ~now:(Sim.Scheduler.now t.sched) in
+    t.transmitting <- true;
+    (match t.dequeue_hook with Some hook -> hook pkt | None -> ());
+    let tx = Sim.Units.tx_time t.line_rate ~bytes:(Packet.size pkt) in
+    ignore
+      (Sim.Scheduler.after t.sched tx (fun () ->
+           t.tx_packet_count <- t.tx_packet_count + 1;
+           t.tx_byte_count <- t.tx_byte_count + Packet.size pkt;
+           (match t.tracer with
+           | None -> ()
+           | Some tr ->
+               Trace.emit tr
+                 ~time_ns:(Sim.Time.to_ns_int (Sim.Scheduler.now t.sched))
+                 ~code:Trace.Code.nic_tx ~src:t.trace_src
+                 ~arg1:pkt.Packet.flow ~arg2:(Packet.size pkt));
+           Link.transmit link pkt;
+           start_next t))
+  end
 
 let kick t = if not t.transmitting then start_next t
 

@@ -160,15 +160,17 @@ let enqueue t ~now pkt =
             accept t pkt
         | `Drop reason -> reject t pkt reason)
 
+let take t ~now =
+  if Queue.is_empty t.items then invalid_arg "Queue_disc.take: empty queue";
+  let pkt = Queue.take t.items in
+  t.bytes <- t.bytes - Packet.size pkt;
+  (match t.discipline with
+  | Red s when Queue.is_empty t.items -> s.idle_since <- Some now
+  | Red _ | Droptail -> ());
+  pkt
+
 let dequeue t ~now =
-  match Queue.take_opt t.items with
-  | None -> None
-  | Some pkt ->
-      t.bytes <- t.bytes - Packet.size pkt;
-      (match t.discipline with
-      | Red s when Queue.is_empty t.items -> s.idle_since <- Some now
-      | Red _ | Droptail -> ());
-      Some pkt
+  if Queue.is_empty t.items then None else Some (take t ~now)
 
 let ecn_marks t =
   match t.discipline with Red s -> s.marks | Droptail -> 0

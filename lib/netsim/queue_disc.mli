@@ -44,7 +44,13 @@ val ecn_marks : t -> int
 (** Packets CE-marked so far (always 0 for drop-tail / non-ECN RED). *)
 
 val enqueue : t -> now:Sim.Time.t -> Packet.t -> (unit, drop_reason) result
+val take : t -> now:Sim.Time.t -> Packet.t
+(** Remove and return the head packet, allocating nothing (the per-packet
+    path checks {!length} first). Raises [Invalid_argument] on an empty
+    queue. *)
+
 val dequeue : t -> now:Sim.Time.t -> Packet.t option
+(** {!take}, or [None] on an empty queue. *)
 
 val length : t -> int
 (** Packets currently queued. *)

@@ -130,40 +130,47 @@ module Histogram = struct
 end
 
 module Time_weighted = struct
-  type t = {
-    mutable origin : Time.t;
-    mutable last_change : Time.t;
+  (* The floats sit in their own all-float record, which OCaml stores
+     flat: a float field next to the [Time.t] ints would be a pointer to
+     a box, and every [set] would allocate one per field written. *)
+  type acc = {
     mutable current : float;
     mutable integral : float; (* value × seconds accumulated so far *)
     mutable peak : float;
   }
 
+  type t = { origin : Time.t; mutable last_change : Time.t; acc : acc }
+
   let create ~now ~init =
-    { origin = now; last_change = now; current = init; integral = 0.;
-      peak = init }
+    {
+      origin = now;
+      last_change = now;
+      acc = { current = init; integral = 0.; peak = init };
+    }
 
   let settle t ~now =
     assert (Time.(now >= t.last_change));
     let dt = Time.to_sec (Time.sub now t.last_change) in
-    t.integral <- t.integral +. (t.current *. dt);
+    t.acc.integral <- t.acc.integral +. (t.acc.current *. dt);
     t.last_change <- now
 
-  let set t ~now v =
+  (* Inlined, so the caller's float reaches the record unboxed. *)
+  let[@inline] set t ~now v =
     settle t ~now;
-    t.current <- v;
-    if v > t.peak then t.peak <- v
+    t.acc.current <- v;
+    if v > t.acc.peak then t.acc.peak <- v
 
-  let value t = t.current
+  let value t = t.acc.current
 
   let mean t ~now =
     let elapsed = Time.to_sec (Time.sub now t.origin) in
-    if elapsed <= 0. then t.current
+    if elapsed <= 0. then t.acc.current
     else begin
       let dt = Time.to_sec (Time.sub now t.last_change) in
-      (t.integral +. (t.current *. dt)) /. elapsed
+      (t.acc.integral +. (t.acc.current *. dt)) /. elapsed
     end
 
-  let max t = t.peak
+  let max t = t.acc.peak
 end
 
 module Series = struct

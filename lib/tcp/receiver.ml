@@ -18,7 +18,7 @@ type t = {
   mutable ack_count : int;
   mutable first_data : Sim.Time.t option;
   mutable last_data : Sim.Time.t option;
-  mutable byte_callbacks : (int -> unit) list;
+  mutable byte_callbacks : (int -> unit) list; (* registration order *)
   mutable expectations : (int * (unit -> unit)) list;
   mutable unread : int; (* delivered in-order but not yet app-consumed *)
   mutable drain_armed : bool;
@@ -85,8 +85,14 @@ let emit_ack t ?(syn = false) ~ts_ecr () =
   | Some peer ->
       let sack_blocks =
         if t.cfg.Config.use_sack && t.irs <> None then
-          Reorder_buffer.sack_blocks t.buffer ~above:t.rcv_nxt ~max_blocks:4
-          |> List.map (fun (lo, hi) -> (seq_of_offset t lo, seq_of_offset t hi))
+          match
+            Reorder_buffer.sack_blocks t.buffer ~above:t.rcv_nxt ~max_blocks:4
+          with
+          | [] -> []
+          | blocks ->
+              List.map
+                (fun (lo, hi) -> (seq_of_offset t lo, seq_of_offset t hi))
+                blocks
         else []
       in
       let header =
@@ -157,11 +163,21 @@ let note_delivered t newly =
       if not t.drain_armed then arm_drain t rate
 
 let fire_expectations t =
-  let ready, waiting =
-    List.partition (fun (bytes, _) -> t.rcv_nxt >= bytes) t.expectations
-  in
-  t.expectations <- waiting;
-  List.iter (fun (_, cb) -> cb ()) ready
+  match t.expectations with
+  | [] -> ()
+  | expectations ->
+      let ready, waiting =
+        List.partition (fun (bytes, _) -> t.rcv_nxt >= bytes) expectations
+      in
+      t.expectations <- waiting;
+      List.iter (fun (_, cb) -> cb ()) ready
+
+let rec notify_bytes callbacks newly =
+  match callbacks with
+  | [] -> ()
+  | cb :: rest ->
+      cb newly;
+      notify_bytes rest newly
 
 let handle_syn t header pkt =
   t.peer <- Some pkt.Netsim.Packet.src;
@@ -199,14 +215,30 @@ let handle_data t header pkt =
   end
   else begin
     let in_order = lo <= t.rcv_nxt in
-    Reorder_buffer.insert t.buffer ~expected:t.rcv_nxt ~lo ~hi;
-    let advanced = Reorder_buffer.deliverable_up_to t.buffer ~from:t.rcv_nxt in
-    let newly = advanced - t.rcv_nxt in
+    let newly =
+      if lo = t.rcv_nxt && Reorder_buffer.is_empty t.buffer then begin
+        (* The next segment in order with nothing held back: the
+           cumulative point moves straight past it. *)
+        t.rcv_nxt <- hi;
+        len
+      end
+      else begin
+        Reorder_buffer.insert t.buffer ~expected:t.rcv_nxt ~lo ~hi;
+        let advanced =
+          Reorder_buffer.deliverable_up_to t.buffer ~from:t.rcv_nxt
+        in
+        if advanced > t.rcv_nxt then begin
+          Reorder_buffer.consume_below t.buffer advanced;
+          let newly = advanced - t.rcv_nxt in
+          t.rcv_nxt <- advanced;
+          newly
+        end
+        else 0
+      end
+    in
     if newly > 0 then begin
-      t.rcv_nxt <- advanced;
-      Reorder_buffer.consume_below t.buffer advanced;
       note_delivered t newly;
-      List.iter (fun cb -> cb newly) (List.rev t.byte_callbacks);
+      notify_bytes t.byte_callbacks newly;
       fire_expectations t
     end;
     if not in_order then
@@ -249,7 +281,7 @@ let create ~host ~flow ~ids ?config () =
   Netsim.Host.register_flow host ~flow (fun pkt -> handle_packet t pkt);
   t
 
-let on_bytes t cb = t.byte_callbacks <- cb :: t.byte_callbacks
+let on_bytes t cb = t.byte_callbacks <- t.byte_callbacks @ [ cb ]
 
 let expect t ~bytes cb =
   if t.rcv_nxt >= bytes then cb ()

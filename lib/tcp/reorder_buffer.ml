@@ -9,17 +9,21 @@ let insert t ~expected ~lo ~hi =
 let deliverable_up_to t ~from = Interval_set.extend_contiguous t.ranges from
 let consume_below t bound = Interval_set.remove_below t.ranges bound
 
+let is_empty t = Interval_set.is_empty t.ranges
+
 let sack_blocks t ~above ~max_blocks =
-  Interval_set.intervals t.ranges
-  |> List.filter (fun (_, hi) -> hi > above)
-  |> List.map (fun (lo, hi) -> (Stdlib.max lo above, hi))
-  |> fun l ->
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  take max_blocks l
+  if is_empty t then []
+  else
+    Interval_set.intervals t.ranges
+    |> List.filter (fun (_, hi) -> hi > above)
+    |> List.map (fun (lo, hi) -> (Stdlib.max lo above, hi))
+    |> fun l ->
+    let rec take n = function
+      | [] -> []
+      | _ when n = 0 -> []
+      | x :: rest -> x :: take (n - 1) rest
+    in
+    take max_blocks l
 
 let buffered_bytes t = Interval_set.total t.ranges
 let segments_out_of_order t = t.ooo_count

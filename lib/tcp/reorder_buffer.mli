@@ -21,6 +21,9 @@ val deliverable_up_to : t -> from:int -> int
 val consume_below : t -> int -> unit
 (** Release state below the new cumulative point. *)
 
+val is_empty : t -> bool
+(** Nothing buffered above the cumulative point. *)
+
 val sack_blocks : t -> above:int -> max_blocks:int -> (int * int) list
 (** Up to [max_blocks] buffered ranges strictly above [above], most
     recently useful first (ascending order is fine for the simulator's

@@ -32,7 +32,9 @@ type t = {
   cfg : Config.t;
   ss : Slow_start.t;
   cc : Cong_avoid.t;
+  view : Slow_start.view; (* built once; the policy reads through it *)
   group : Web100.Group.t;
+  kis : Web100.Group.kis; (* the group's variables, resolved once *)
   rtt : Rtt_estimator.t;
   scoreboard : Sack_scoreboard.t;
   retx_done : Interval_set.t;
@@ -110,11 +112,8 @@ let flight_bytes t =
   if t.cfg.Config.use_sack then raw - Sack_scoreboard.sacked_bytes t.scoreboard
   else raw
 
-(* --- web100 plumbing ------------------------------------------------- *)
-
-let counter t name = Web100.Group.counter t.group name
-let gauge t name = Web100.Group.gauge t.group name
-let bump ?by t name = Web100.Group.Counter.incr ?by (counter t name)
+module Counter = Web100.Group.Counter
+module Gauge = Web100.Group.Gauge
 
 (* --- trace plumbing --------------------------------------------------- *)
 
@@ -145,18 +144,18 @@ let trace_cwnd t =
       end
 
 let update_gauges t =
-  let set name v = Web100.Group.Gauge.set (gauge t name) v in
-  set Web100.Kis.cur_cwnd (cwnd_b t);
-  set Web100.Kis.cur_ssthresh
+  let k = t.kis in
+  Gauge.set k.cur_cwnd (cwnd_b t);
+  Gauge.set k.cur_ssthresh
     (if ssthresh_b t = infinity then Float.max_float else ssthresh_b t);
   (match Rtt_estimator.srtt t.rtt with
-  | Some s -> set Web100.Kis.smoothed_rtt (Sim.Time.to_ms s)
+  | Some s -> Gauge.set k.smoothed_rtt (Sim.Time.to_ms s)
   | None -> ());
   (match Rtt_estimator.min_rtt t.rtt with
-  | Some s -> set Web100.Kis.min_rtt (Sim.Time.to_ms s)
+  | Some s -> Gauge.set k.min_rtt (Sim.Time.to_ms s)
   | None -> ());
-  set Web100.Kis.cur_rto (Sim.Time.to_ms (Rtt_estimator.rto t.rtt));
-  set Web100.Kis.cur_ifq
+  Gauge.set k.cur_rto (Sim.Time.to_ms (Rtt_estimator.rto t.rtt));
+  Gauge.set k.cur_ifq
     (float_of_int (Netsim.Ifq.occupancy (Netsim.Host.ifq t.host)));
   trace_cwnd t
 
@@ -177,28 +176,12 @@ let make_header t ~offset ~len ~flags =
     ts_ecr = Sim.Time.zero;
   }
 
-let view t : Slow_start.view =
-  let ifq = Netsim.Host.ifq t.host in
-  {
-    Slow_start.now = (fun () -> Sim.Scheduler.now t.sched);
-    mss = t.cfg.Config.mss;
-    cwnd = (fun () -> cwnd_b t);
-    ssthresh = (fun () -> ssthresh_b t);
-    flight = (fun () -> flight_bytes t);
-    snd_una = (fun () -> una t);
-    snd_nxt = (fun () -> nxt t);
-    srtt = (fun () -> Rtt_estimator.srtt t.rtt);
-    min_rtt = (fun () -> Rtt_estimator.min_rtt t.rtt);
-    ifq_occupancy = (fun () -> Netsim.Ifq.occupancy ifq);
-    ifq_capacity = (fun () -> Netsim.Ifq.capacity ifq);
-  }
-
 (* --- local congestion (send-stall) ----------------------------------- *)
 
 let react_to_stall t =
-  bump t Web100.Kis.send_stall;
+  Counter.incr t.kis.send_stall;
   trace t ~code:Trace.Code.tcp_send_stall
-    ~arg1:(Web100.Group.Counter.value (counter t Web100.Kis.send_stall))
+    ~arg1:(Counter.value t.kis.send_stall)
     ~arg2:(Netsim.Ifq.occupancy (Netsim.Host.ifq t.host));
   if una t >= reaction_mark t then begin
     (* At most one window reduction per round trip, like the kernel. *)
@@ -207,13 +190,13 @@ let react_to_stall t =
     let floor = 2. *. float_of_int mss in
     match t.cfg.Config.local_congestion with
     | Local_congestion.Halve ->
-        bump t Web100.Kis.congestion_signals;
+        Counter.incr t.kis.congestion_signals;
         set_ssthresh_b t
           (Float.max floor (float_of_int (flight_bytes t) /. 2.));
         set_cwnd_b t (ssthresh_b t);
         if ph t = Slow_start_p then set_ph t Cong_avoid_p
     | Local_congestion.Cwr ->
-        bump t Web100.Kis.congestion_signals;
+        Counter.incr t.kis.congestion_signals;
         set_cwnd_b t (Float.max floor (cwnd_b t *. 0.7));
         if ph t = Slow_start_p then set_ph t Cong_avoid_p
     | Local_congestion.Ignore -> ()
@@ -238,12 +221,12 @@ let transmit_range t ~retx (lo, hi) =
   | `Sent ->
       set_cwr_pending t false;
       set_last_data_send t (Sim.Scheduler.now t.sched);
-      bump t Web100.Kis.pkts_out;
-      bump ~by:len t Web100.Kis.data_bytes_out;
+      Counter.incr t.kis.pkts_out;
+      Counter.incr ~by:len t.kis.data_bytes_out;
       add_bytes_sent t len;
       if retx then begin
-        bump t Web100.Kis.pkts_retrans;
-        bump ~by:len t Web100.Kis.bytes_retrans;
+        Counter.incr t.kis.pkts_retrans;
+        Counter.incr ~by:len t.kis.bytes_retrans;
         trace t ~code:Trace.Code.tcp_retransmit ~arg1:lo ~arg2:len
       end;
       true
@@ -274,14 +257,14 @@ let rec on_rto t =
   t.rto_handle <- None;
   if ph t = Syn_sent then begin
     (* Lost SYN: back off and retry. *)
-    bump t Web100.Kis.timeouts;
+    Counter.incr t.kis.timeouts;
     Rtt_estimator.backoff t.rtt;
     send_syn t;
     arm_rto t
   end
   else if flight_bytes t > 0 || nxt t > una t then begin
-    bump t Web100.Kis.timeouts;
-    bump t Web100.Kis.congestion_signals;
+    Counter.incr t.kis.timeouts;
+    Counter.incr t.kis.congestion_signals;
     trace t ~code:Trace.Code.tcp_rto
       ~arg1:(Rtt_estimator.backoff_factor t.rtt)
       ~arg2:(flight_bytes t);
@@ -317,7 +300,7 @@ and send_syn t =
       (Proto.Payload.Tcp header)
   in
   (match Netsim.Host.send t.host pkt with
-  | `Sent -> bump t Web100.Kis.pkts_out
+  | `Sent -> Counter.incr t.kis.pkts_out
   | `Stalled -> react_to_stall t)
 
 (* During SACK recovery: fill holes first, then new data, respecting the
@@ -465,8 +448,8 @@ let check_complete t =
   | Some _ | None -> ()
 
 let enter_fast_recovery t =
-  bump t Web100.Kis.fast_retran;
-  bump t Web100.Kis.congestion_signals;
+  Counter.incr t.kis.fast_retran;
+  Counter.incr t.kis.congestion_signals;
   trace t ~code:Trace.Code.tcp_fast_retransmit ~arg1:(una t) ~arg2:(nxt t);
   let mss = t.cfg.Config.mss in
   let ssthresh', cwnd' =
@@ -493,16 +476,20 @@ let enter_fast_recovery t =
   end;
   arm_rto t
 
+(* The ACK's SACK blocks as unwrapped offsets; an ACK without blocks
+   (every ACK on a loss-free path) allocates nothing here. *)
+let sack_offsets t header =
+  match header.Proto.Tcp_header.sack_blocks with
+  | [] -> []
+  | blocks ->
+      List.map (fun (a, b) -> (offset_of_seq t a, offset_of_seq t b)) blocks
+
 let on_dupack t header =
-  bump t Web100.Kis.dup_acks_in;
+  Counter.incr t.kis.dup_acks_in;
   set_dupacks t (dupacks t + 1);
   (if t.cfg.Config.use_sack then
-     let blocks =
-       List.map
-         (fun (a, b) -> (offset_of_seq t a, offset_of_seq t b))
-         header.Proto.Tcp_header.sack_blocks
-     in
-     Sack_scoreboard.record t.scoreboard ~blocks ~una:(una t));
+     Sack_scoreboard.record t.scoreboard ~blocks:(sack_offsets t header)
+       ~una:(una t));
   match ph t with
   | Fast_recovery ->
       if t.cfg.Config.use_sack then sack_recovery_send t
@@ -523,11 +510,7 @@ let on_new_ack t ~newly ~rtt_sample header =
   Rtt_estimator.reset_backoff t.rtt;
   if t.cfg.Config.use_sack then begin
     Sack_scoreboard.advance_una t.scoreboard (una t);
-    let blocks =
-      List.map
-        (fun (a, b) -> (offset_of_seq t a, offset_of_seq t b))
-        header.Proto.Tcp_header.sack_blocks
-    in
+    let blocks = sack_offsets t header in
     if blocks <> [] then
       Sack_scoreboard.record t.scoreboard ~blocks ~una:(una t)
   end;
@@ -550,9 +533,9 @@ let on_new_ack t ~newly ~rtt_sample header =
         arm_rto t
       end
   | Slow_start_p ->
-      bump t Web100.Kis.slow_start;
+      Counter.incr t.kis.slow_start;
       let decision =
-        t.ss.Slow_start.on_ack (view t) ~newly_acked:newly ~rtt_sample
+        t.ss.Slow_start.on_ack t.view ~newly_acked:newly ~rtt_sample
       in
       set_cwnd_b t
         (Float.max floor (cwnd_b t +. decision.Slow_start.cwnd_delta));
@@ -562,7 +545,7 @@ let on_new_ack t ~newly ~rtt_sample header =
       end
       else if cwnd_b t >= ssthresh_b t then set_ph t Cong_avoid_p
   | Cong_avoid_p ->
-      bump t Web100.Kis.cong_avoid;
+      Counter.incr t.kis.cong_avoid;
       Flow_table.ca_on_ack t.table t.row t.cc ~acks:1 ~newly_acked:newly ~mss
         ~srtt:(Rtt_estimator.srtt t.rtt)
         ~min_rtt:(Rtt_estimator.min_rtt t.rtt)
@@ -572,8 +555,12 @@ let on_new_ack t ~newly ~rtt_sample header =
   check_complete t;
   try_send t
 
+let take_sample t = function
+  | Some s -> Rtt_estimator.sample t.rtt s
+  | None -> ()
+
 let handle_ack t header =
-  bump t Web100.Kis.acks_in;
+  Counter.incr t.kis.acks_in;
   let now = Sim.Scheduler.now t.sched in
   (* Karn's rule, timestamp form: only an ACK that advances snd_una (or
      the SYN-ACK) feeds the estimator. A duplicated or long-delayed old
@@ -584,18 +571,10 @@ let handle_ack t header =
     if Sim.Time.(ecr > Sim.Time.zero) then Some (Sim.Time.sub now ecr)
     else None
   in
-  let take_sample () =
-    match rtt_sample with
-    | Some s -> Rtt_estimator.sample t.rtt s
-    | None -> ()
-  in
   let prev_rwnd = rwnd t in
   set_rwnd t (Stdlib.max 0 header.Proto.Tcp_header.wnd);
-  Web100.Group.Gauge.set
-    (gauge t Web100.Kis.max_rwin_rcvd)
-    (Float.max
-       (Web100.Group.Gauge.value (gauge t Web100.Kis.max_rwin_rcvd))
-       (float_of_int (rwnd t)));
+  Gauge.set t.kis.max_rwin_rcvd
+    (Float.max (Gauge.value t.kis.max_rwin_rcvd) (float_of_int (rwnd t)));
   (* ECN echo: same once-per-window multiplicative decrease as a loss,
      but nothing needs retransmitting (RFC 3168 §6.1.2). *)
   if
@@ -604,7 +583,7 @@ let handle_ack t header =
     && una t >= reaction_mark t
   then begin
     set_reaction_mark t (nxt t);
-    bump t Web100.Kis.congestion_signals;
+    Counter.incr t.kis.congestion_signals;
     Flow_table.ca_on_loss t.table t.row t.cc ~flight:(flight_bytes t)
       ~mss:t.cfg.Config.mss ~now;
     if ph t = Slow_start_p then set_ph t Cong_avoid_p;
@@ -613,7 +592,7 @@ let handle_ack t header =
   if ph t = Syn_sent then begin
     if Proto.Tcp_header.has_flag header Proto.Tcp_header.Syn then begin
       (* SYN/ACK: connection established. *)
-      take_sample ();
+      take_sample t rtt_sample;
       cancel_rto t;
       Rtt_estimator.reset_backoff t.rtt;
       set_ph t Slow_start_p;
@@ -626,7 +605,7 @@ let handle_ack t header =
   else begin
     let ack_off = offset_of_seq t header.Proto.Tcp_header.ack in
     if ack_off > una t && ack_off <= una t + (1 lsl 30) then begin
-      take_sample ();
+      take_sample t rtt_sample;
       (* An ACK above snd_nxt is possible after go-back-N regressed
          snd_nxt: the receiver is acknowledging pre-timeout data. The
          data exists; resynchronize snd_nxt instead of dropping the
@@ -668,7 +647,9 @@ let create ~host ~dst ~flow ~ids ?table ?(config = Config.default)
     | None -> Flow_table.create ~initial_capacity:1 ()
   in
   let row = Flow_table.alloc table in
-  let t =
+  let group, kis = Web100.Group.create_kis ~conn_name:name () in
+  let ifq = Netsim.Host.ifq host in
+  let rec t =
     {
       host;
       sched;
@@ -678,7 +659,24 @@ let create ~host ~dst ~flow ~ids ?table ?(config = Config.default)
       cfg = config;
       ss = slow_start;
       cc = cong_avoid;
-      group = Web100.Group.create ~conn_name:name ();
+      (* The policy's view of this sender, built once: each thunk reads
+         the live state through [t]. *)
+      view =
+        {
+          Slow_start.now = (fun () -> Sim.Scheduler.now sched);
+          mss = config.Config.mss;
+          cwnd = (fun () -> cwnd_b t);
+          ssthresh = (fun () -> ssthresh_b t);
+          flight = (fun () -> flight_bytes t);
+          snd_una = (fun () -> una t);
+          snd_nxt = (fun () -> nxt t);
+          srtt = (fun () -> Rtt_estimator.srtt t.rtt);
+          min_rtt = (fun () -> Rtt_estimator.min_rtt t.rtt);
+          ifq_occupancy = (fun () -> Netsim.Ifq.occupancy ifq);
+          ifq_capacity = (fun () -> Netsim.Ifq.capacity ifq);
+        };
+      group;
+      kis;
       rtt =
         Rtt_estimator.create ~min_rto:config.Config.min_rto
           ~max_rto:config.Config.max_rto ();
@@ -748,15 +746,10 @@ let srtt t = Rtt_estimator.srtt t.rtt
 let min_rtt t = Rtt_estimator.min_rtt t.rtt
 let rto t = Rtt_estimator.rto t.rtt
 let rto_backoff t = Rtt_estimator.backoff_factor t.rtt
-let send_stalls t = Web100.Group.Counter.value (counter t Web100.Kis.send_stall)
-
-let congestion_signals t =
-  Web100.Group.Counter.value (counter t Web100.Kis.congestion_signals)
-
-let timeouts t = Web100.Group.Counter.value (counter t Web100.Kis.timeouts)
-
-let retransmits t =
-  Web100.Group.Counter.value (counter t Web100.Kis.pkts_retrans)
+let send_stalls t = Counter.value t.kis.send_stall
+let congestion_signals t = Counter.value t.kis.congestion_signals
+let timeouts t = Counter.value t.kis.timeouts
+let retransmits t = Counter.value t.kis.pkts_retrans
 
 let stats t = t.group
 let slow_start_name t = t.ss.Slow_start.name

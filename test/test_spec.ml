@@ -277,6 +277,23 @@ let golden_duplex_spec =
       ];
   }
 
+(* Standard slow-start on the paper path overruns the 100-packet IFQ
+   once: the golden pins the send-stall reaction (SendStall and
+   CongestionSignals) and, with series on, the sampled series. *)
+let golden_standard_spec =
+  {
+    Spec.default with
+    Spec.name = "golden-duplex-standard";
+    seed = 7;
+    duration = sec 5;
+    record_series = true;
+    flows =
+      [
+        { Spec.default_flow with Spec.label = Some "std";
+          slow_start = "standard" };
+      ];
+  }
+
 let golden_dumbbell_spec =
   {
     Spec.default with
@@ -337,6 +354,37 @@ let test_golden_duplex () =
       Alcotest.(check (float 1e-6)) "peak ifq" 96. r.Spec.peak_ifq
   | rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs));
   Alcotest.(check (float 1e-9)) "jain" 1. o.Spec.path.Spec.jain_index;
+  Alcotest.(check int) "no router drops on a duplex" 0
+    o.Spec.path.Spec.router_drops
+
+let test_golden_standard () =
+  let o = Spec.run golden_standard_spec in
+  (match o.Spec.results with
+  | [ r ] ->
+      check_flow ~label:"std" ~goodput:42.015295999999999 ~stalls:1 ~cong:1
+        ~retx:0 ~timeouts:0 ~cwnd:265.81221953448994 r;
+      Alcotest.(check (float 0.)) "mean ifq" 1.2209759999996961
+        r.Spec.mean_ifq;
+      Alcotest.(check (float 0.)) "peak ifq" 100. r.Spec.peak_ifq;
+      Alcotest.(check (option (float 0.))) "never at 90 %" None
+        r.Spec.time_to_90pct_util;
+      List.iter
+        (fun (name, series, sum, last) ->
+          let v = Sim.Stats.Series.values series in
+          Alcotest.(check int) (name ^ " samples") 20 (Array.length v);
+          Alcotest.(check (float 0.)) (name ^ " sum") sum
+            (Array.fold_left ( +. ) 0. v);
+          Alcotest.(check (option (float 0.))) (name ^ " last") (Some last)
+            (Sim.Stats.Series.last_value series))
+        [
+          ("stalls", r.Spec.stalls_series, 17., 1.);
+          ("cwnd", r.Spec.cwnd_series, 4414.6707732529594, 265.81221953448994);
+          ("ifq", r.Spec.ifq_series, 7., 0.);
+          ("throughput", r.Spec.throughput_series, 840.30592000000001,
+            52.840319999999998);
+          ("srtt", r.Spec.srtt_series, 1229.193565, 60.483196999999997);
+        ]
+  | rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs));
   Alcotest.(check int) "no router drops on a duplex" 0
     o.Spec.path.Spec.router_drops
 
@@ -530,6 +578,8 @@ let suite =
     Alcotest.test_case "of_json errors name the field" `Quick
       test_of_json_errors;
     Alcotest.test_case "golden: duplex restricted" `Slow test_golden_duplex;
+    Alcotest.test_case "golden: duplex standard, series on" `Slow
+      test_golden_standard;
     Alcotest.test_case "golden: faulted dumbbell pair" `Slow
       test_golden_dumbbell;
     Alcotest.test_case "identical at any worker count" `Slow

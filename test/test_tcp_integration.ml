@@ -195,6 +195,42 @@ let test_restricted_beats_standard () =
   Alcotest.(check bool) "RSS delivers more on the paper path" true
     (rss > std)
 
+(* The packet path's allocation ceiling: past warm-up, a bulk flow on
+   the paper path (standard slow-start after its stall, restricted
+   slow-start holding its set point) allocates at most this many minor
+   words per delivered data segment. What is left is the packet, its
+   header and payload, queue cells, and the link, NIC and delayed-ACK
+   event closures, for the segment and its share of an ACK; web100
+   counters, the slow-start view and in-order receive allocate nothing.
+   Measured at about 91 for both; 195 and 221 before the web100
+   variables were resolved once. *)
+let words_per_segment_ceiling = 105.
+
+let test_packet_path_allocation_ceiling () =
+  let words_per_segment slow_start =
+    let sched, path, ids = make_path ~delay:(Sim.Time.ms 30) () in
+    let conn =
+      Tcp.Connection.establish ~src:path.Netsim.Topology.Duplex.a
+        ~dst:path.Netsim.Topology.Duplex.b ~flow:1 ~ids ~slow_start ()
+    in
+    let rx = conn.Tcp.Connection.receiver in
+    Sim.Scheduler.run ~until:(Sim.Time.sec 2) sched;
+    let segments0 = Tcp.Receiver.segments_received rx in
+    let before = Gc.minor_words () in
+    Sim.Scheduler.run ~until:(Sim.Time.sec 4) sched;
+    let words = Gc.minor_words () -. before in
+    words /. float_of_int (Tcp.Receiver.segments_received rx - segments0)
+  in
+  List.iter
+    (fun slow_start ->
+      let w = words_per_segment slow_start in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f minor words per segment (ceiling %.0f)"
+           slow_start.Tcp.Slow_start.name w words_per_segment_ceiling)
+        true
+        (w <= words_per_segment_ceiling))
+    [ Tcp.Slow_start.standard (); Tcp.Slow_start.restricted () ]
+
 let test_slow_application_limits_rate () =
   (* Receive buffer 128 KiB, application reads at 10 Mbit/s: the sender
      must be throttled to roughly the application rate, with zero loss
@@ -491,6 +527,8 @@ let suite =
       test_restricted_no_stall_on_paper_path;
     Alcotest.test_case "RSS outperforms standard" `Quick
       test_restricted_beats_standard;
+    Alcotest.test_case "packet path allocation ceiling" `Quick
+      test_packet_path_allocation_ceiling;
     Alcotest.test_case "slow application limits rate" `Quick
       test_slow_application_limits_rate;
     Alcotest.test_case "zero-window reopen" `Quick test_zero_window_reopen;

@@ -168,6 +168,52 @@ let test_snapshot_missing_vars () =
     "var appearing mid-flight" [ ("New", 1.) ]
     (Web100.Snapshot.delta ~older:s1 ~newer:s2)
 
+(* A sender creates its whole KIS variable set up front. *)
+let duplex ?(loss = 0.) ~ifq ~seed () =
+  let sched = Sim.Scheduler.create ~seed () in
+  let path =
+    Netsim.Topology.Duplex.create sched ~rate:(Sim.Units.mbps 100.)
+      ~one_way_delay:(Sim.Time.ms 30) ~ifq_capacity:ifq ~loss_rate:loss ()
+  in
+  (sched, path, Netsim.Packet.Id_source.create ())
+
+let test_sender_lists_every_kis_var () =
+  let _, path, ids = duplex ~ifq:100 ~seed:1 () in
+  let sender =
+    Tcp.Sender.create ~host:path.Netsim.Topology.Duplex.a
+      ~dst:(Netsim.Host.id path.Netsim.Topology.Duplex.b)
+      ~flow:1 ~ids ()
+  in
+  Alcotest.(check (list (pair string (float 0.))))
+    "every KIS variable, at 0"
+    (List.sort compare (List.map (fun n -> (n, 0.)) Web100.Kis.all))
+    (Web100.Group.snapshot (Tcp.Sender.stats sender))
+
+(* The sender's accessors read the same variables its group exports by
+   name, after a run that exercises stalls, losses and timeouts. *)
+let test_sender_counters_match_group () =
+  let sched, path, ids = duplex ~loss:0.01 ~ifq:2 ~seed:1 () in
+  let conn =
+    Tcp.Connection.establish ~src:path.Netsim.Topology.Duplex.a
+      ~dst:path.Netsim.Topology.Duplex.b ~flow:1 ~ids ~bytes:2_000_000 ()
+  in
+  Sim.Scheduler.run ~until:(Sim.Time.sec 30) sched;
+  let sender = conn.Tcp.Connection.sender in
+  let stats = Tcp.Sender.stats sender in
+  List.iter
+    (fun (name, accessor) ->
+      let v = accessor sender in
+      Alcotest.(check bool) (name ^ " happened") true (v > 0);
+      Alcotest.(check (option (float 0.))) name
+        (Some (float_of_int v))
+        (Web100.Group.read stats name))
+    [
+      (Web100.Kis.send_stall, Tcp.Sender.send_stalls);
+      (Web100.Kis.congestion_signals, Tcp.Sender.congestion_signals);
+      (Web100.Kis.timeouts, Tcp.Sender.timeouts);
+      (Web100.Kis.pkts_retrans, Tcp.Sender.retransmits);
+    ]
+
 let suite =
   [
     Alcotest.test_case "snapshot delta" `Quick test_snapshot_delta;
@@ -178,6 +224,10 @@ let suite =
     Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;
     Alcotest.test_case "read/snapshot" `Quick test_read_snapshot;
     Alcotest.test_case "KIS names" `Quick test_kis_names;
+    Alcotest.test_case "sender lists every KIS variable" `Quick
+      test_sender_lists_every_kis_var;
+    Alcotest.test_case "sender counters match the group" `Quick
+      test_sender_counters_match_group;
     Alcotest.test_case "periodic logger" `Quick test_logger;
     Alcotest.test_case "logger duplicate var" `Quick test_logger_duplicate_var;
     Alcotest.test_case "logger csv alignment" `Quick test_logger_csv_alignment;
