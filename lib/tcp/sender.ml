@@ -6,23 +6,9 @@ let phase_to_string = function
   | Cong_avoid_p -> "cong-avoid"
   | Fast_recovery -> "fast-recovery"
 
-(* Phase codes in the Flow_table flags column. *)
-let code_of_phase = function
-  | Syn_sent -> 0
-  | Slow_start_p -> 1
-  | Cong_avoid_p -> 2
-  | Fast_recovery -> 3
-
-let phase_of_code = function
-  | 0 -> Syn_sent
-  | 1 -> Slow_start_p
-  | 2 -> Cong_avoid_p
-  | _ -> Fast_recovery
-
-(* The numeric fast-path state (windows, offsets, counters, latches)
-   lives in a {!Flow_table} row — flat SoA storage shared by every
-   sender built over the same table — while this record keeps the
-   boxed wiring: host, policies, estimators, callbacks. *)
+(* Offsets are unwrapped bytes: data byte 0 maps to seqno iss+1. cwnd
+   and ssthresh each sit in a one-element float array, flat storage the
+   {!Cong_avoid} in-place hooks update without boxing a float. *)
 type t = {
   host : Netsim.Host.t;
   sched : Sim.Scheduler.t;
@@ -39,8 +25,22 @@ type t = {
   scoreboard : Sack_scoreboard.t;
   retx_done : Interval_set.t;
   iss : Proto.Seqno.t;
-  table : Flow_table.t;
-  row : int;
+  cwnd_cell : float array;
+  ssthresh_cell : float array;
+  mutable una : int;
+  mutable nxt : int;
+  mutable rwnd : int;
+  mutable dupacks : int;
+  mutable recover : int;
+  mutable reaction_mark : int; (* one window reduction per round trip *)
+  mutable bytes_sent : int;
+  mutable next_pace : Sim.Time.t;
+  mutable last_data_send : Sim.Time.t;
+  mutable phase : phase;
+  mutable stalled : bool;
+  mutable completed : bool;
+  mutable started : bool;
+  mutable cwr_pending : bool;
   mutable total : int option;
   mutable rto_handle : Sim.Scheduler.handle option;
   mutable rto_cb : unit -> unit; (* one closure per sender, not per arm *)
@@ -52,51 +52,10 @@ type t = {
   mutable last_traced_cwnd : float; (* dedupe tcp.cwnd records *)
 }
 
-(* Row accessors, named after the mutable fields they replaced.
-   Unwrapped byte offsets: data byte 0 maps to seqno iss+1. *)
-let una t = Flow_table.una t.table t.row
-let set_una t v = Flow_table.set_una t.table t.row v
-let nxt t = Flow_table.nxt t.table t.row
-let set_nxt t v = Flow_table.set_nxt t.table t.row v
-let cwnd_b t = Flow_table.cwnd t.table t.row
-let set_cwnd_b t v = Flow_table.set_cwnd t.table t.row v
-let ssthresh_b t = Flow_table.ssthresh t.table t.row
-let set_ssthresh_b t v = Flow_table.set_ssthresh t.table t.row v
-let rwnd t = Flow_table.rwnd t.table t.row
-let set_rwnd t v = Flow_table.set_rwnd t.table t.row v
-let ph t = phase_of_code (Flow_table.phase t.table t.row)
-let set_ph t p = Flow_table.set_phase t.table t.row (code_of_phase p)
-let dupacks t = Flow_table.dupacks t.table t.row
-let set_dupacks t v = Flow_table.set_dupacks t.table t.row v
-let recover t = Flow_table.recover t.table t.row
-let set_recover t v = Flow_table.set_recover t.table t.row v
-let reaction_mark t = Flow_table.reaction_mark t.table t.row
-let set_reaction_mark t v = Flow_table.set_reaction_mark t.table t.row v
-let bytes_sent_total t = Flow_table.bytes_sent t.table t.row
-
-let add_bytes_sent t n =
-  Flow_table.set_bytes_sent t.table t.row (bytes_sent_total t + n)
-
-let stalled t = Flow_table.stalled t.table t.row
-let set_stalled t v = Flow_table.set_stalled t.table t.row v
-let completed t = Flow_table.completed t.table t.row
-let set_completed t v = Flow_table.set_completed t.table t.row v
-let started t = Flow_table.started t.table t.row
-let set_started t v = Flow_table.set_started t.table t.row v
-let cwr_pending t = Flow_table.cwr_pending t.table t.row
-let set_cwr_pending t v = Flow_table.set_cwr_pending t.table t.row v
-
-let next_pace_time t =
-  Sim.Time.of_ns_int (Flow_table.next_pace_ns t.table t.row)
-
-let set_next_pace_time t v =
-  Flow_table.set_next_pace_ns t.table t.row (Sim.Time.to_ns_int v)
-
-let last_data_send t =
-  Sim.Time.of_ns_int (Flow_table.last_send_ns t.table t.row)
-
-let set_last_data_send t v =
-  Flow_table.set_last_send_ns t.table t.row (Sim.Time.to_ns_int v)
+let cwnd t = Array.unsafe_get t.cwnd_cell 0
+let set_cwnd t v = Array.unsafe_set t.cwnd_cell 0 v
+let ssthresh t = Array.unsafe_get t.ssthresh_cell 0
+let set_ssthresh t v = Array.unsafe_set t.ssthresh_cell 0 v
 
 let mssf t = float_of_int t.cfg.Config.mss
 
@@ -105,10 +64,10 @@ let seq_of_offset t off = Proto.Seqno.add t.iss (1 + off)
 (* Unwrap a 32-bit ack back to an absolute offset, anchored at una:
    valid because in-flight distances stay far below 2^31. *)
 let offset_of_seq t seqno =
-  una t + Proto.Seqno.diff seqno (seq_of_offset t (una t))
+  t.una + Proto.Seqno.diff seqno (seq_of_offset t t.una)
 
 let flight_bytes t =
-  let raw = nxt t - una t in
+  let raw = t.nxt - t.una in
   if t.cfg.Config.use_sack then raw - Sack_scoreboard.sacked_bytes t.scoreboard
   else raw
 
@@ -133,21 +92,21 @@ let trace_cwnd t =
   match t.tracer with
   | None -> ()
   | Some _ ->
-      if cwnd_b t <> t.last_traced_cwnd then begin
-        t.last_traced_cwnd <- cwnd_b t;
-        let ssthresh =
-          if ssthresh_b t >= float_of_int max_int then max_int
-          else int_of_float (ssthresh_b t)
+      if cwnd t <> t.last_traced_cwnd then begin
+        t.last_traced_cwnd <- cwnd t;
+        let ssthresh_bytes =
+          if ssthresh t >= float_of_int max_int then max_int
+          else int_of_float (ssthresh t)
         in
-        trace t ~code:Trace.Code.tcp_cwnd ~arg1:(int_of_float (cwnd_b t))
-          ~arg2:ssthresh
+        trace t ~code:Trace.Code.tcp_cwnd ~arg1:(int_of_float (cwnd t))
+          ~arg2:ssthresh_bytes
       end
 
 let update_gauges t =
   let k = t.kis in
-  Gauge.set k.cur_cwnd (cwnd_b t);
+  Gauge.set k.cur_cwnd (cwnd t);
   Gauge.set k.cur_ssthresh
-    (if ssthresh_b t = infinity then Float.max_float else ssthresh_b t);
+    (if ssthresh t = infinity then Float.max_float else ssthresh t);
   (match Rtt_estimator.srtt t.rtt with
   | Some s -> Gauge.set k.smoothed_rtt (Sim.Time.to_ms s)
   | None -> ());
@@ -183,22 +142,22 @@ let react_to_stall t =
   trace t ~code:Trace.Code.tcp_send_stall
     ~arg1:(Counter.value t.kis.send_stall)
     ~arg2:(Netsim.Ifq.occupancy (Netsim.Host.ifq t.host));
-  if una t >= reaction_mark t then begin
+  if t.una >= t.reaction_mark then begin
     (* At most one window reduction per round trip, like the kernel. *)
-    set_reaction_mark t (nxt t);
+    t.reaction_mark <- t.nxt;
     let mss = t.cfg.Config.mss in
     let floor = 2. *. float_of_int mss in
     match t.cfg.Config.local_congestion with
     | Local_congestion.Halve ->
         Counter.incr t.kis.congestion_signals;
-        set_ssthresh_b t
+        set_ssthresh t
           (Float.max floor (float_of_int (flight_bytes t) /. 2.));
-        set_cwnd_b t (ssthresh_b t);
-        if ph t = Slow_start_p then set_ph t Cong_avoid_p
+        set_cwnd t (ssthresh t);
+        if t.phase = Slow_start_p then t.phase <- Cong_avoid_p
     | Local_congestion.Cwr ->
         Counter.incr t.kis.congestion_signals;
-        set_cwnd_b t (Float.max floor (cwnd_b t *. 0.7));
-        if ph t = Slow_start_p then set_ph t Cong_avoid_p
+        set_cwnd t (Float.max floor (cwnd t *. 0.7));
+        if t.phase = Slow_start_p then t.phase <- Cong_avoid_p
     | Local_congestion.Ignore -> ()
   end
 
@@ -208,7 +167,7 @@ let react_to_stall t =
 let transmit_range t ~retx (lo, hi) =
   let len = hi - lo in
   assert (len > 0);
-  let flags = if cwr_pending t then [ Proto.Tcp_header.Cwr ] else [] in
+  let flags = if t.cwr_pending then [ Proto.Tcp_header.Cwr ] else [] in
   let header = make_header t ~offset:lo ~len ~flags in
   let pkt =
     Netsim.Packet.make
@@ -219,11 +178,11 @@ let transmit_range t ~retx (lo, hi) =
   in
   match Netsim.Host.send t.host pkt with
   | `Sent ->
-      set_cwr_pending t false;
-      set_last_data_send t (Sim.Scheduler.now t.sched);
+      t.cwr_pending <- false;
+      t.last_data_send <- Sim.Scheduler.now t.sched;
       Counter.incr t.kis.pkts_out;
       Counter.incr ~by:len t.kis.data_bytes_out;
-      add_bytes_sent t len;
+      t.bytes_sent <- t.bytes_sent + len;
       if retx then begin
         Counter.incr t.kis.pkts_retrans;
         Counter.incr ~by:len t.kis.bytes_retrans;
@@ -231,7 +190,7 @@ let transmit_range t ~retx (lo, hi) =
       end;
       true
   | `Stalled ->
-      set_stalled t true;
+      t.stalled <- true;
       react_to_stall t;
       false
 
@@ -255,30 +214,34 @@ let arm_rto t =
 
 let rec on_rto t =
   t.rto_handle <- None;
-  if ph t = Syn_sent then begin
+  if t.phase = Syn_sent then begin
     (* Lost SYN: back off and retry. *)
     Counter.incr t.kis.timeouts;
     Rtt_estimator.backoff t.rtt;
     send_syn t;
     arm_rto t
   end
-  else if flight_bytes t > 0 || nxt t > una t then begin
+  else if flight_bytes t > 0 || t.nxt > t.una then begin
     Counter.incr t.kis.timeouts;
     Counter.incr t.kis.congestion_signals;
     trace t ~code:Trace.Code.tcp_rto
       ~arg1:(Rtt_estimator.backoff_factor t.rtt)
       ~arg2:(flight_bytes t);
-    Flow_table.ca_on_rto t.table t.row t.cc ~flight:(flight_bytes t)
-      ~mss:t.cfg.Config.mss;
+    let ssthresh', cwnd' =
+      t.cc.Cong_avoid.on_rto ~cwnd:(cwnd t) ~flight:(flight_bytes t)
+        ~mss:t.cfg.Config.mss
+    in
+    set_ssthresh t ssthresh';
+    set_cwnd t cwnd';
     (* Go-back-N: everything past the ACK point is presumed lost; the
        SACK scoreboard is invalidated (RFC 6675 §5.1). *)
-    set_nxt t (una t);
+    t.nxt <- t.una;
     Sack_scoreboard.reset t.scoreboard;
     Interval_set.remove_below t.retx_done max_int;
-    set_dupacks t 0;
+    t.dupacks <- 0;
     t.pending_retx <- None;
     t.ss.Slow_start.reset ();
-    set_ph t Slow_start_p;
+    t.phase <- Slow_start_p;
     Rtt_estimator.backoff t.rtt;
     arm_rto t;
     update_gauges t;
@@ -309,8 +272,8 @@ and sack_recovery_send t =
   let mss = t.cfg.Config.mss in
   let continue = ref true in
   while
-    !continue && (not (stalled t))
-    && float_of_int (flight_bytes t + mss) <= cwnd_b t
+    !continue && (not t.stalled)
+    && float_of_int (flight_bytes t + mss) <= cwnd t
   do
     match next_unfilled_hole t with
     | Some (lo, hi) ->
@@ -326,8 +289,8 @@ and sack_recovery_send t =
         match new_data_range t with
         | Some ((lo, hi) as range)
           when float_of_int (flight_bytes t + (hi - lo))
-               <= Float.min (cwnd_b t) (float_of_int (rwnd t)) ->
-            if transmit_range t ~retx:false range then set_nxt t hi
+               <= Float.min (cwnd t) (float_of_int t.rwnd) ->
+            if transmit_range t ~retx:false range then t.nxt <- hi
             else continue := false
         | Some _ | None -> continue := false)
   done
@@ -341,15 +304,15 @@ and next_unfilled_hole t =
         if Interval_set.contains_range t.retx_done ~lo ~hi then search hi
         else Some (lo, hi)
   in
-  search (una t)
+  search t.una
 
 and new_data_range t =
   let mss = t.cfg.Config.mss in
   let remaining =
-    match t.total with None -> mss | Some total -> total - nxt t
+    match t.total with None -> mss | Some total -> total - t.nxt
   in
   let len = Stdlib.min mss remaining in
-  if len <= 0 then None else Some (nxt t, nxt t + len)
+  if len <= 0 then None else Some (t.nxt, t.nxt + len)
 
 (* Pacing: minimum spacing between data segments so the window is
    released at gain·cwnd/srtt instead of in line-rate bursts. *)
@@ -358,11 +321,11 @@ and pace_interval t ~bytes =
   | None -> Sim.Time.zero
   | Some srtt ->
       let gain =
-        if ph t = Slow_start_p then t.cfg.Config.pace_ss_gain
+        if t.phase = Slow_start_p then t.cfg.Config.pace_ss_gain
         else t.cfg.Config.pace_ca_gain
       in
       let rate_bytes_per_sec =
-        gain *. cwnd_b t /. Float.max 1e-6 (Sim.Time.to_sec srtt)
+        gain *. cwnd t /. Float.max 1e-6 (Sim.Time.to_sec srtt)
       in
       Sim.Time.of_sec (float_of_int bytes /. rate_bytes_per_sec)
 
@@ -371,16 +334,14 @@ and pace_gate t ~bytes =
   if not t.cfg.Config.pacing then true
   else begin
     let now = Sim.Scheduler.now t.sched in
-    if Sim.Time.(now >= next_pace_time t) then begin
-      set_next_pace_time t
-        (Sim.Time.add
-           (Sim.Time.max now (next_pace_time t))
-           (pace_interval t ~bytes));
+    if Sim.Time.(now >= t.next_pace) then begin
+      t.next_pace <-
+        Sim.Time.add (Sim.Time.max now t.next_pace) (pace_interval t ~bytes);
       true
     end
     else begin
       (if Option.is_none t.pace_timer then
-         let delay = Sim.Time.sub (next_pace_time t) now in
+         let delay = Sim.Time.sub t.next_pace now in
          t.pace_timer <- Some (Sim.Scheduler.after t.sched delay t.pace_cb));
       false
     end
@@ -392,25 +353,25 @@ and pace_gate t ~bytes =
    burst, exactly the pathology the paper studies. *)
 and maybe_idle_restart t =
   if
-    t.cfg.Config.slow_start_restart && ph t <> Syn_sent
+    t.cfg.Config.slow_start_restart && t.phase <> Syn_sent
     && flight_bytes t = 0
     && Sim.Time.(
-         Sim.Time.sub (Sim.Scheduler.now t.sched) (last_data_send t)
+         Sim.Time.sub (Sim.Scheduler.now t.sched) t.last_data_send
          > Rtt_estimator.rto t.rtt)
   then begin
     let iw =
       float_of_int (t.cfg.Config.init_cwnd_segments * t.cfg.Config.mss)
     in
-    if cwnd_b t > iw then begin
-      set_cwnd_b t iw;
+    if cwnd t > iw then begin
+      set_cwnd t iw;
       t.ss.Slow_start.reset ();
-      set_ph t Slow_start_p
+      t.phase <- Slow_start_p
     end
   end
 
 and try_send t =
   if
-    started t && (not (completed t)) && (not (stalled t)) && ph t <> Syn_sent
+    t.started && (not t.completed) && (not t.stalled) && t.phase <> Syn_sent
   then begin
     maybe_idle_restart t;
     (match t.pending_retx with
@@ -418,17 +379,17 @@ and try_send t =
         t.pending_retx <- None;
         retransmit t range
     | None -> ());
-    if (not (stalled t)) && ph t = Fast_recovery && t.cfg.Config.use_sack then
+    if (not t.stalled) && t.phase = Fast_recovery && t.cfg.Config.use_sack then
       sack_recovery_send t
     else begin
-      let wnd = Float.min (cwnd_b t) (float_of_int (rwnd t)) in
+      let wnd = Float.min (cwnd t) (float_of_int t.rwnd) in
       let continue = ref true in
-      while !continue && not (stalled t) do
+      while !continue && not t.stalled do
         match new_data_range t with
         | Some ((lo, hi) as range)
           when float_of_int (flight_bytes t + (hi - lo)) <= wnd ->
             if not (pace_gate t ~bytes:(hi - lo)) then continue := false
-            else if transmit_range t ~retx:false range then set_nxt t hi
+            else if transmit_range t ~retx:false range then t.nxt <- hi
             else continue := false
         | Some _ | None -> continue := false
       done
@@ -441,8 +402,8 @@ and try_send t =
 
 let check_complete t =
   match t.total with
-  | Some total when (not (completed t)) && una t >= total ->
-      set_completed t true;
+  | Some total when (not t.completed) && t.una >= total ->
+      t.completed <- true;
       cancel_rto t;
       List.iter (fun cb -> cb ()) (List.rev t.complete_cbs)
   | Some _ | None -> ()
@@ -450,29 +411,29 @@ let check_complete t =
 let enter_fast_recovery t =
   Counter.incr t.kis.fast_retran;
   Counter.incr t.kis.congestion_signals;
-  trace t ~code:Trace.Code.tcp_fast_retransmit ~arg1:(una t) ~arg2:(nxt t);
+  trace t ~code:Trace.Code.tcp_fast_retransmit ~arg1:t.una ~arg2:t.nxt;
   let mss = t.cfg.Config.mss in
   let ssthresh', cwnd' =
-    t.cc.Cong_avoid.on_loss ~cwnd:(cwnd_b t) ~flight:(flight_bytes t) ~mss
+    t.cc.Cong_avoid.on_loss ~cwnd:(cwnd t) ~flight:(flight_bytes t) ~mss
       ~now:(Sim.Scheduler.now t.sched)
   in
-  set_ssthresh_b t ssthresh';
-  set_recover t (nxt t);
+  set_ssthresh t ssthresh';
+  t.recover <- t.nxt;
   Interval_set.remove_below t.retx_done max_int;
-  set_ph t Fast_recovery;
+  t.phase <- Fast_recovery;
   if t.cfg.Config.use_sack then begin
-    set_cwnd_b t cwnd';
-    let hole_hi = Stdlib.min (una t + mss) (nxt t) in
-    Interval_set.add t.retx_done ~lo:(una t) ~hi:hole_hi;
-    retransmit t (una t, hole_hi);
-    if not (stalled t) then sack_recovery_send t
+    set_cwnd t cwnd';
+    let hole_hi = Stdlib.min (t.una + mss) t.nxt in
+    Interval_set.add t.retx_done ~lo:t.una ~hi:hole_hi;
+    retransmit t (t.una, hole_hi);
+    if not t.stalled then sack_recovery_send t
   end
   else begin
     (* NewReno: retransmit the presumed-lost head and inflate by the
        three duplicates (RFC 5681 §3.2). *)
-    set_cwnd_b t (cwnd' +. (3. *. float_of_int mss));
-    let hole_hi = Stdlib.min (una t + mss) (nxt t) in
-    retransmit t (una t, hole_hi)
+    set_cwnd t (cwnd' +. (3. *. float_of_int mss));
+    let hole_hi = Stdlib.min (t.una + mss) t.nxt in
+    retransmit t (t.una, hole_hi)
   end;
   arm_rto t
 
@@ -486,50 +447,50 @@ let sack_offsets t header =
 
 let on_dupack t header =
   Counter.incr t.kis.dup_acks_in;
-  set_dupacks t (dupacks t + 1);
+  t.dupacks <- t.dupacks + 1;
   (if t.cfg.Config.use_sack then
      Sack_scoreboard.record t.scoreboard ~blocks:(sack_offsets t header)
-       ~una:(una t));
-  match ph t with
+       ~una:t.una);
+  match t.phase with
   | Fast_recovery ->
       if t.cfg.Config.use_sack then sack_recovery_send t
       else begin
         (* Window inflation: each duplicate signals a departure. *)
-        set_cwnd_b t (cwnd_b t +. mssf t);
+        set_cwnd t (cwnd t +. mssf t);
         try_send t
       end
   | Slow_start_p | Cong_avoid_p ->
-      if dupacks t >= t.cfg.Config.dupack_threshold && flight_bytes t > 0
+      if t.dupacks >= t.cfg.Config.dupack_threshold && flight_bytes t > 0
       then enter_fast_recovery t
   | Syn_sent -> ()
 
 let on_new_ack t ~newly ~rtt_sample header =
   let mss = t.cfg.Config.mss in
   let floor = 2. *. float_of_int mss in
-  set_dupacks t 0;
+  t.dupacks <- 0;
   Rtt_estimator.reset_backoff t.rtt;
   if t.cfg.Config.use_sack then begin
-    Sack_scoreboard.advance_una t.scoreboard (una t);
+    Sack_scoreboard.advance_una t.scoreboard t.una;
     let blocks = sack_offsets t header in
     if blocks <> [] then
-      Sack_scoreboard.record t.scoreboard ~blocks ~una:(una t)
+      Sack_scoreboard.record t.scoreboard ~blocks ~una:t.una
   end;
-  (match ph t with
+  (match t.phase with
   | Fast_recovery ->
-      if una t >= recover t then begin
+      if t.una >= t.recover then begin
         (* Full acknowledgment: deflate and resume avoidance. *)
-        set_cwnd_b t (Float.max floor (ssthresh_b t));
-        set_ph t Cong_avoid_p;
+        set_cwnd t (Float.max floor (ssthresh t));
+        t.phase <- Cong_avoid_p;
         Interval_set.remove_below t.retx_done max_int
       end
       else if t.cfg.Config.use_sack then sack_recovery_send t
       else begin
         (* NewReno partial ACK: next hole is also lost. *)
-        let hole_hi = Stdlib.min (una t + mss) (nxt t) in
-        retransmit t (una t, hole_hi);
-        set_cwnd_b t
+        let hole_hi = Stdlib.min (t.una + mss) t.nxt in
+        retransmit t (t.una, hole_hi);
+        set_cwnd t
           (Float.max floor
-             (cwnd_b t -. float_of_int newly +. float_of_int mss));
+             (cwnd t -. float_of_int newly +. float_of_int mss));
         arm_rto t
       end
   | Slow_start_p ->
@@ -537,19 +498,20 @@ let on_new_ack t ~newly ~rtt_sample header =
       let decision =
         t.ss.Slow_start.on_ack t.view ~newly_acked:newly ~rtt_sample
       in
-      set_cwnd_b t
-        (Float.max floor (cwnd_b t +. decision.Slow_start.cwnd_delta));
+      set_cwnd t
+        (Float.max floor (cwnd t +. decision.Slow_start.cwnd_delta));
       if decision.Slow_start.exit_slow_start then begin
-        set_ssthresh_b t (cwnd_b t);
-        set_ph t Cong_avoid_p
+        set_ssthresh t (cwnd t);
+        t.phase <- Cong_avoid_p
       end
-      else if cwnd_b t >= ssthresh_b t then set_ph t Cong_avoid_p
+      else if cwnd t >= ssthresh t then t.phase <- Cong_avoid_p
   | Cong_avoid_p ->
       Counter.incr t.kis.cong_avoid;
-      Flow_table.ca_on_ack t.table t.row t.cc ~acks:1 ~newly_acked:newly ~mss
+      t.cc.Cong_avoid.on_acks ~acks:1 ~newly_acked:newly ~mss
         ~srtt:(Rtt_estimator.srtt t.rtt)
         ~min_rtt:(Rtt_estimator.min_rtt t.rtt)
         ~now:(Sim.Scheduler.now t.sched)
+        t.cwnd_cell 0
   | Syn_sent -> ());
   if flight_bytes t > 0 then arm_rto t else cancel_rto t;
   check_complete t;
@@ -571,32 +533,32 @@ let handle_ack t header =
     if Sim.Time.(ecr > Sim.Time.zero) then Some (Sim.Time.sub now ecr)
     else None
   in
-  let prev_rwnd = rwnd t in
-  set_rwnd t (Stdlib.max 0 header.Proto.Tcp_header.wnd);
+  let prev_rwnd = t.rwnd in
+  t.rwnd <- Stdlib.max 0 header.Proto.Tcp_header.wnd;
   Gauge.set t.kis.max_rwin_rcvd
-    (Float.max (Gauge.value t.kis.max_rwin_rcvd) (float_of_int (rwnd t)));
+    (Float.max (Gauge.value t.kis.max_rwin_rcvd) (float_of_int t.rwnd));
   (* ECN echo: same once-per-window multiplicative decrease as a loss,
      but nothing needs retransmitting (RFC 3168 §6.1.2). *)
   if
     Proto.Tcp_header.has_flag header Proto.Tcp_header.Ece
-    && ph t <> Syn_sent && ph t <> Fast_recovery
-    && una t >= reaction_mark t
+    && t.phase <> Syn_sent && t.phase <> Fast_recovery
+    && t.una >= t.reaction_mark
   then begin
-    set_reaction_mark t (nxt t);
+    t.reaction_mark <- t.nxt;
     Counter.incr t.kis.congestion_signals;
-    Flow_table.ca_on_loss t.table t.row t.cc ~flight:(flight_bytes t)
-      ~mss:t.cfg.Config.mss ~now;
-    if ph t = Slow_start_p then set_ph t Cong_avoid_p;
-    set_cwr_pending t true
+    t.cc.Cong_avoid.on_loss_at ~flight:(flight_bytes t) ~mss:t.cfg.Config.mss
+      ~now ~cwnd:t.cwnd_cell ~ssthresh:t.ssthresh_cell 0;
+    if t.phase = Slow_start_p then t.phase <- Cong_avoid_p;
+    t.cwr_pending <- true
   end;
-  if ph t = Syn_sent then begin
+  if t.phase = Syn_sent then begin
     if Proto.Tcp_header.has_flag header Proto.Tcp_header.Syn then begin
       (* SYN/ACK: connection established. *)
       take_sample t rtt_sample;
       cancel_rto t;
       Rtt_estimator.reset_backoff t.rtt;
-      set_ph t Slow_start_p;
-      set_cwnd_b t
+      t.phase <- Slow_start_p;
+      set_cwnd t
         (float_of_int (t.cfg.Config.init_cwnd_segments * t.cfg.Config.mss));
       update_gauges t;
       try_send t
@@ -604,28 +566,28 @@ let handle_ack t header =
   end
   else begin
     let ack_off = offset_of_seq t header.Proto.Tcp_header.ack in
-    if ack_off > una t && ack_off <= una t + (1 lsl 30) then begin
+    if ack_off > t.una && ack_off <= t.una + (1 lsl 30) then begin
       take_sample t rtt_sample;
       (* An ACK above snd_nxt is possible after go-back-N regressed
          snd_nxt: the receiver is acknowledging pre-timeout data. The
          data exists; resynchronize snd_nxt instead of dropping the
          ACK (which would deadlock the connection). *)
-      if ack_off > nxt t then set_nxt t ack_off;
-      let newly = ack_off - una t in
-      set_una t ack_off;
-      if una t >= reaction_mark t then set_reaction_mark t (una t);
+      if ack_off > t.nxt then t.nxt <- ack_off;
+      let newly = ack_off - t.una in
+      t.una <- ack_off;
+      if t.una >= t.reaction_mark then t.reaction_mark <- t.una;
       on_new_ack t ~newly ~rtt_sample header
     end
     else if
-      ack_off = una t && nxt t > una t
+      ack_off = t.una && t.nxt > t.una
       && header.Proto.Tcp_header.payload_len = 0
     then
-      if rwnd t = prev_rwnd then on_dupack t header
+      if t.rwnd = prev_rwnd then on_dupack t header
       else
         (* Same ACK point but a changed window: a window update, not a
            duplicate (RFC 5681 §2). The reopened window may unblock us. *)
         try_send t
-    else if rwnd t > prev_rwnd then try_send t
+    else if t.rwnd > prev_rwnd then try_send t
   end;
   update_gauges t
 
@@ -637,16 +599,10 @@ let handle_packet t pkt =
 
 (* --- construction ------------------------------------------------------ *)
 
-let create ~host ~dst ~flow ~ids ?table ?(config = Config.default)
+let create ~host ~dst ~flow ~ids ?(config = Config.default)
     ?(slow_start = Slow_start.standard ()) ?(cong_avoid = Cong_avoid.reno ())
     ?(name = "sender") () =
   let sched = Netsim.Host.scheduler host in
-  let table =
-    match table with
-    | Some tbl -> tbl
-    | None -> Flow_table.create ~initial_capacity:1 ()
-  in
-  let row = Flow_table.alloc table in
   let group, kis = Web100.Group.create_kis ~conn_name:name () in
   let ifq = Netsim.Host.ifq host in
   let rec t =
@@ -665,11 +621,11 @@ let create ~host ~dst ~flow ~ids ?table ?(config = Config.default)
         {
           Slow_start.now = (fun () -> Sim.Scheduler.now sched);
           mss = config.Config.mss;
-          cwnd = (fun () -> cwnd_b t);
-          ssthresh = (fun () -> ssthresh_b t);
+          cwnd = (fun () -> cwnd t);
+          ssthresh = (fun () -> ssthresh t);
           flight = (fun () -> flight_bytes t);
-          snd_una = (fun () -> una t);
-          snd_nxt = (fun () -> nxt t);
+          snd_una = (fun () -> t.una);
+          snd_nxt = (fun () -> t.nxt);
           srtt = (fun () -> Rtt_estimator.srtt t.rtt);
           min_rtt = (fun () -> Rtt_estimator.min_rtt t.rtt);
           ifq_occupancy = (fun () -> Netsim.Ifq.occupancy ifq);
@@ -683,8 +639,23 @@ let create ~host ~dst ~flow ~ids ?table ?(config = Config.default)
       scoreboard = Sack_scoreboard.create ();
       retx_done = Interval_set.create ();
       iss = Proto.Seqno.of_int (0x1000 + (flow * 0x2711));
-      table;
-      row;
+      cwnd_cell =
+        [| float_of_int (config.Config.init_cwnd_segments * config.Config.mss) |];
+      ssthresh_cell = [| config.Config.init_ssthresh |];
+      una = 0;
+      nxt = 0;
+      rwnd = config.Config.rcv_wnd;
+      dupacks = 0;
+      recover = 0;
+      reaction_mark = 0;
+      bytes_sent = 0;
+      next_pace = Sim.Time.zero;
+      last_data_send = Sim.Time.zero;
+      phase = Syn_sent;
+      stalled = false;
+      completed = false;
+      started = false;
+      cwr_pending = false;
       total = None;
       rto_handle = None;
       rto_cb = ignore;
@@ -701,22 +672,17 @@ let create ~host ~dst ~flow ~ids ?table ?(config = Config.default)
     (fun () ->
       t.pace_timer <- None;
       try_send t);
-  set_cwnd_b t
-    (float_of_int (config.Config.init_cwnd_segments * config.Config.mss));
-  set_ssthresh_b t config.Config.init_ssthresh;
-  set_rwnd t config.Config.rcv_wnd;
-  set_ph t Syn_sent;
   Netsim.Host.register_flow host ~flow (fun pkt -> handle_packet t pkt);
   Netsim.Ifq.on_space (Netsim.Host.ifq host) (fun () ->
-      if stalled t then begin
-        set_stalled t false;
+      if t.stalled then begin
+        t.stalled <- false;
         try_send t
       end);
   t
 
 let start t ?bytes () =
-  if started t then invalid_arg "Sender.start: already started";
-  set_started t true;
+  if t.started then invalid_arg "Sender.start: already started";
+  t.started <- true;
   t.total <- bytes;
   send_syn t;
   arm_rto t;
@@ -729,19 +695,17 @@ let supply t n =
       invalid_arg "Sender.supply: connection already sends unlimited data"
   | Some total ->
       t.total <- Some (total + n);
-      set_completed t false;
-      if started t then try_send t
+      t.completed <- false;
+      if t.started then try_send t
 
 let on_complete t cb = t.complete_cbs <- cb :: t.complete_cbs
 
 (* --- accessors --------------------------------------------------------- *)
 
-let phase t = ph t
-let cwnd t = cwnd_b t
-let ssthresh t = ssthresh_b t
+let phase t = t.phase
 let flight t = flight_bytes t
-let bytes_acked t = una t
-let bytes_sent t = bytes_sent_total t
+let bytes_acked t = t.una
+let bytes_sent t = t.bytes_sent
 let srtt t = Rtt_estimator.srtt t.rtt
 let min_rtt t = Rtt_estimator.min_rtt t.rtt
 let rto t = Rtt_estimator.rto t.rtt
@@ -753,5 +717,3 @@ let retransmits t = Counter.value t.kis.pkts_retrans
 
 let stats t = t.group
 let slow_start_name t = t.ss.Slow_start.name
-let flow_table t = t.table
-let row t = t.row

@@ -21,7 +21,6 @@ val create :
   dst:int ->
   flow:int ->
   ids:Netsim.Packet.Id_source.source ->
-  ?table:Flow_table.t ->
   ?config:Config.t ->
   ?slow_start:Slow_start.t ->
   ?cong_avoid:Cong_avoid.t ->
@@ -30,10 +29,9 @@ val create :
   t
 (** Builds the endpoint and registers it for [flow] on [host]. The
     default policies are [Slow_start.standard] and [Cong_avoid.reno].
-    The sender's numeric state (windows, offsets, counters, latches)
-    occupies one row of [table] — pass a shared {!Flow_table} so many
-    senders' state packs into the same flat arrays; by default each
-    sender gets a private single-row table. *)
+    The sender owns its state: offsets, counters, phase and latches are
+    fields of its own record, and cwnd/ssthresh sit in flat float
+    storage that the {!Cong_avoid} in-place hooks update directly. *)
 
 val start : t -> ?bytes:int -> unit -> unit
 (** Open the connection (SYN) and stream [bytes] of application data
@@ -93,9 +91,3 @@ val set_tracer : t -> Trace.t option -> unit
     tracing costs one pattern match and allocates nothing. *)
 
 val slow_start_name : t -> string
-
-val flow_table : t -> Flow_table.t
-(** The table holding this sender's numeric state… *)
-
-val row : t -> int
-(** …and its row index within it. *)

@@ -9,10 +9,11 @@
 
    - Per-flow state is a Flow_table row: cwnd/ssthresh driven through
      the {!Tcp.Cong_avoid} policy hooks by index, a budget column for
-     finite transfer sizes, a per-row xorshift stream for loss draws
-     and the row's round-timer handle. No per-flow closure exists
-     anywhere: all rounds dispatch through the engine's single
-     [on_fire] callback.
+     finite transfer sizes and a per-row xorshift stream for loss
+     draws; the round timer is a wheel entry keyed by the row, whose
+     handle is never kept (rounds are never cancelled). No per-flow
+     closure exists anywhere: all rounds dispatch through the engine's
+     single [on_fire] callback.
 
    - The bottleneck is a fluid integrator: between events the backlog
      changes at (Σcwnd/RTT − C), clamped to [0, buffer]; RTT is the
@@ -158,7 +159,7 @@ let phase_cong_avoid = 2
 let arm_round t row =
   let now_ns = Sim.Time.to_ns_int (Sim.Scheduler.now t.sched) in
   let due_ns = now_ns + int_of_float (rtt_s t *. 1e9) in
-  Ft.set_timer t.table row (Wheel.arm t.wheel ~due_ns ~kind:kind_round ~flow:row :> int)
+  ignore (Wheel.arm t.wheel ~due_ns ~kind:kind_round ~flow:row)
 
 (* [held] is the window the running sum counts for [row] — its window
    at the start of the round that retires it, not the row's current
@@ -405,9 +406,7 @@ let save ?(prefix = "mf.") t w =
    and seed. The wheel is drained, advanced (empty, so nothing fires)
    to the saved tick, and re-armed in serialization order — which
    rebuilds every slot's FIFO list, and therefore the firing order,
-   exactly. Round timers write their fresh handle back into the row;
-   handle values never influence simulation output (the engine stores
-   but never cancels them). *)
+   exactly. Handles are not kept: the engine never cancels a timer. *)
 let restore ?(prefix = "mf.") t r =
   let p name = prefix ^ name in
   t.f.q_bytes <- Sim.Snapshot.get_float r (p "q_bytes");
@@ -433,10 +432,7 @@ let restore ?(prefix = "mf.") t r =
   then raise (Sim.Snapshot.Corrupt "Many_flows: ragged wheel sections");
   Array.iteri
     (fun i due_ns ->
-      let h =
-        (Wheel.arm t.wheel ~due_ns ~kind:kinds.(i) ~flow:flows.(i) :> int)
-      in
-      if kinds.(i) = kind_round then Ft.set_timer t.table flows.(i) h)
+      ignore (Wheel.arm t.wheel ~due_ns ~kind:kinds.(i) ~flow:flows.(i)))
     due
 
 (* --- observation -------------------------------------------------------- *)

@@ -1,7 +1,8 @@
 (* Tests for the flow-level many-flows engine and its Spec integration:
    bit-level determinism (same seed twice, and independence from the
-   worker count), budgeted-flow retirement, and capacity conservation
-   under overload. *)
+   worker count), budgeted-flow retirement, capacity conservation under
+   overload, and a generated sweep of finite-flow regimes whose books
+   must balance. *)
 
 module Mf = Workload.Many_flows
 
@@ -231,6 +232,103 @@ let test_window_sum_tracks_live_windows () =
   Alcotest.(check int) "all created" 2000 (Mf.created t);
   check_sum "no flow active" ~tol:1e-6 0.
 
+(* Finite-flow regimes, under- and overloaded: offered load
+   (arrival rate x mean size) spans ~10^-3 to ~400x the capacity, with
+   or without RED, from a handful of flows to a few hundred. At every
+   whole second the engine's books must balance: the tracked window
+   sum equals the live windows re-summed from the table, every created
+   flow is either completed or active, and delivered bytes stay within
+   line rate. A round credits its whole surviving window when it fires
+   (a finishing flow's too, past its size), against a queue integrated
+   at the current RTT, so delivered leads capacity x t by up to about a
+   queue plus one bandwidth-delay product: 1.82x that at worst over
+   30 000 random regimes. The bound allows 2x, and the generator runs
+   from a fixed seed so the suite cannot flake on that tail. *)
+type regime = { params : Mf.params; seed : int }
+
+let gen_regime =
+  let open QCheck2.Gen in
+  let* flows = oneof [ int_range 1 20; int_range 21 400 ] in
+  let* arrival_rate = opt (float_range 1. 500.) in
+  let* mean_size = int_range 5_000 500_000 in
+  let* size_pareto_shape = float_range 1.1 2.5 in
+  let* capacity_mbps = oneofl [ 5.; 10.; 50. ] in
+  let* rtt_ms = int_range 20 120 in
+  let* buffer_packets = int_range 10 210 in
+  let* red = bool in
+  let* seed = int_range 0 9_999 in
+  let b = float_of_int buffer_packets in
+  return
+    {
+      params =
+        {
+          Mf.default_params with
+          flows;
+          arrival_rate;
+          mean_size = Some mean_size;
+          size_pareto_shape;
+          capacity_bytes_per_sec = capacity_mbps *. 1e6 /. 8.;
+          base_rtt = Sim.Time.ms rtt_ms;
+          buffer_packets;
+          red =
+            (if red then
+               Some
+                 {
+                   Netsim.Queue_disc.min_th = b /. 4.;
+                   max_th = 3. *. b /. 4.;
+                   max_p = 0.1;
+                   weight = 0.002;
+                 }
+             else None);
+        };
+      seed;
+    }
+
+let print_regime { params = p; seed } =
+  Printf.sprintf
+    "seed %d: %d flows, arrivals %s/s, mean %s B (shape %.2f), %.0f B/s, \
+     rtt %.0f ms, buffer %d, red %b"
+    seed p.Mf.flows
+    (match p.arrival_rate with None -> "all-at-0" | Some r -> Printf.sprintf "%.1f" r)
+    (match p.mean_size with None -> "inf" | Some m -> string_of_int m)
+    p.size_pareto_shape p.capacity_bytes_per_sec
+    (Sim.Time.to_ms p.base_rtt) p.buffer_packets (p.red <> None)
+
+let prop_finite_flow_books =
+  QCheck2.Test.make ~name:"finite flows: window sum, flow count, line rate"
+    ~count:60 ~print:print_regime gen_regime (fun { params = p; seed } ->
+      let sched = Sim.Scheduler.create ~seed () in
+      let t = Mf.start ~sched ~rng:(Sim.Rng.of_seed seed) ~seed p in
+      let tbl = Mf.table t in
+      let c = p.Mf.capacity_bytes_per_sec in
+      let slack =
+        2.
+        *. ((float_of_int (p.buffer_packets * p.mss))
+           +. (c *. Sim.Time.to_sec p.base_rtt))
+      in
+      List.for_all
+        (fun sec ->
+          Sim.Scheduler.run ~until:(Sim.Time.sec sec) sched;
+          let live = ref 0. in
+          for row = 0 to Tcp.Flow_table.capacity tbl - 1 do
+            if Tcp.Flow_table.is_live tbl row then
+              live := !live +. Tcp.Flow_table.cwnd tbl row
+          done;
+          let sum = Mf.sum_cwnd_bytes t in
+          if Float.abs (sum -. !live) > 1. +. (1e-9 *. !live) then
+            QCheck2.Test.fail_reportf "at %d s: tracked window sum %g, live %g"
+              sec sum !live;
+          if Mf.created t <> Mf.completed t + Mf.active t then
+            QCheck2.Test.fail_reportf "at %d s: created %d <> %d + %d" sec
+              (Mf.created t) (Mf.completed t) (Mf.active t);
+          let line = c *. float_of_int sec in
+          if Mf.delivered_bytes t > line +. slack then
+            QCheck2.Test.fail_reportf
+              "at %d s: delivered %.0f B > capacity x t %.0f + slack %.0f" sec
+              (Mf.delivered_bytes t) line slack;
+          true)
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+
 (* The many-flows engine contract: past warm-up a flow round allocates
    nothing. A persistent RED population in the benchmark's regime (about
    four segments per window) runs both round kinds — loss-free rounds
@@ -313,4 +411,6 @@ let suite =
       test_window_sum_tracks_live_windows;
     Alcotest.test_case "flow rounds allocate nothing" `Quick
       test_rounds_allocate_nothing;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |])
+      prop_finite_flow_books;
   ]

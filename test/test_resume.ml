@@ -134,6 +134,69 @@ let test_multi_slice_resume () =
     (outcome_json outcome);
   Sys.remove path
 
+(* The sharded engine: a dumbbell_of_dumbbells many_flows spec runs
+   one flow-level shard per segment, and shards k > 0 save under
+   "mf.<k>.". A drain at the first boundary and a resume must still
+   replay the unbroken run byte for byte, with every shard's table
+   in the image. *)
+let sharded_spec () =
+  {
+    (mf_spec ~name:"resume-mf-sharded" ~seed:43 ()) with
+    Core.Spec.record_series = true;
+    domains = 1;
+    topology =
+      Core.Spec.Multi_dumbbell
+        {
+          Core.Spec.segments = 4;
+          m_pairs = 2;
+          m_access_rate = Sim.Units.mbps 1000.;
+          m_access_delay = Sim.Time.ms 1;
+          m_bottleneck_rate = Sim.Units.mbps 100.;
+          m_bottleneck_delay = Sim.Time.ms 10;
+          core_rate = Sim.Units.mbps 400.;
+          core_delay = Sim.Time.ms 5;
+          m_buffer_packets = 250;
+          m_host_ifq_capacity = 100;
+          m_red = None;
+          cross_pairs = 0;
+        };
+    flows =
+      [
+        {
+          Core.Spec.default_flow with
+          label = Some "crowd";
+          workload =
+            Core.Spec.Many_flows
+              {
+                flows = 4_000;
+                arrival_rate = Some 2_000.;
+                arrival_pareto_shape = None;
+                mean_size = Some 60_000;
+                size_pareto_shape = 1.3;
+              };
+        };
+      ];
+  }
+
+let test_sharded_drain_resume () =
+  let spec = sharded_spec () in
+  let unbroken = Core.Spec.run spec in
+  let path = tmp_path "sharded.snap" in
+  let at, snapshot = run_until_drained spec ~path in
+  Alcotest.(check (float 0.))
+    "drained at the first checkpoint boundary" 1.
+    (Sim.Time.to_sec at);
+  let image = Sim.Snapshot.load ~path:snapshot in
+  Alcotest.(check (list bool)) "every shard's table is saved"
+    [ true; true; true; true ]
+    (List.map
+       (fun prefix -> Sim.Snapshot.mem image (prefix ^ "ft.cwnd"))
+       [ "mf."; "mf.1."; "mf.2."; "mf.3." ]);
+  let resumed = Core.Spec.run ~resume_from:snapshot spec in
+  Alcotest.(check string) "sharded resume == unbroken, byte for byte"
+    (outcome_json unbroken) (outcome_json resumed);
+  Sys.remove path
+
 let test_checkpoint_requires_support () =
   let bulk = { Core.Spec.default with Core.Spec.name = "bulk" } in
   Alcotest.(check bool) "bulk spec is not snapshot-supported" false
@@ -195,6 +258,8 @@ let suite =
       `Quick test_stale_snapshot_resume;
     Alcotest.test_case "many slices == unbroken" `Quick
       test_multi_slice_resume;
+    Alcotest.test_case "sharded drain + resume == unbroken" `Quick
+      test_sharded_drain_resume;
     Alcotest.test_case "checkpoint requires snapshot support" `Quick
       test_checkpoint_requires_support;
     Alcotest.test_case "resume checks spec identity" `Quick

@@ -91,6 +91,20 @@ let qcheck_uniform_bounds =
       let x = Sim.Rng.uniform r ~lo ~hi in
       x >= lo && x < hi)
 
+(* Many_flows derives one seed per flow, so a million-flow set-up
+   makes a million calls: they must not box their Int64 arithmetic. *)
+let test_derive_seed_no_alloc () =
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    acc := !acc lxor Sim.Rng.derive_seed ~root:42 ~stream:i
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check bool)
+    (Printf.sprintf "10^4 derive_seed calls allocate (%.0f minor words)" words)
+    true (words < 256.)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -103,5 +117,7 @@ let suite =
     Alcotest.test_case "pareto floor" `Quick test_pareto_floor;
     Alcotest.test_case "normal moments" `Quick test_normal_moments;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
+    Alcotest.test_case "derive_seed allocates nothing" `Quick
+      test_derive_seed_no_alloc;
     QCheck_alcotest.to_alcotest qcheck_uniform_bounds;
   ]
